@@ -1254,6 +1254,8 @@ def _describe_serve_error(exc) -> str:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    import json
+
     from repro.serve import ServeError
 
     client = _connect_serve(args)

@@ -19,7 +19,12 @@ from repro.core.transition import (
     TransitionSystem,
     UnexpectedMatch,
 )
-from repro.core.waitfor import WaitForCondition, WaitTarget, wait_for_conditions
+from repro.core.waitfor import (
+    GroupClause,
+    WaitForCondition,
+    WaitTarget,
+    wait_for_conditions,
+)
 from repro.core.waitstate import DeadlockAnalysis, analyze_trace
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "DeadlockAnalysis",
     "DistributedDeadlockDetector",
     "DistributedOutcome",
+    "GroupClause",
     "RULE_ALL",
     "RULE_ANY",
     "RULE_COLL",

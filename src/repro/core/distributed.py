@@ -41,6 +41,7 @@ from repro.core.messages import (
     WaitInfoMsg,
 )
 from repro.core.opstate import OpState, RankWindow
+from repro.core.waitfor import GroupClause
 from repro.matching.distributed_p2p import MatchEvent, NodeP2PMatcher
 from repro.mpi.communicator import CommRegistry
 from repro.mpi.constants import ANY_SOURCE, PROC_NULL, OpKind
@@ -659,11 +660,12 @@ class FirstLayerNode:
         if state.matched_send is not None:
             return P2PWait((state.matched_send[0],), "matched send not active")
         if op.peer == ANY_SOURCE:
-            group = self.comms.get(op.comm_id).group
-            return P2PWait(
-                tuple(k for k in group if k != op.rank),
+            clause = GroupClause(
+                self.comms.get(op.comm_id).group,
+                op.rank,
                 "wildcard receive: any sender qualifies",
             )
+            return P2PWait(clause, clause.reason)
         return P2PWait((op.peer,), "no matching send posted")  # type: ignore[arg-type]
 
     def _wait_info(

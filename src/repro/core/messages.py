@@ -28,7 +28,7 @@ streamed buffers (Section 4.2), so each pays full per-message cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.mpi.constants import OpKind
 from repro.mpi.ops import Operation, OpRef
@@ -193,11 +193,13 @@ class RequestWaits:
 class P2PWait:
     """A point-to-point style wait-for entry of one blocked process.
 
-    ``or_targets`` carries the alternative target ranks (wildcard OR
-    semantics); directed waits have a single target.
+    ``or_targets`` carries the alternative target ranks: a one-element
+    tuple for a directed wait, a
+    :class:`~repro.core.waitfor.GroupClause` for a wildcard one (OR
+    semantics over the communicator, never expanded rank by rank).
     """
 
-    or_targets: Tuple[int, ...]
+    or_targets: Sequence[int]
     reason: str
 
 

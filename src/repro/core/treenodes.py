@@ -24,14 +24,11 @@ from repro.core.messages import (
     AckConsistentState,
     CollectiveAck,
     CollectiveReady,
-    CollectiveWait,
-    P2PWait,
-    RankWaitInfo,
     RequestConsistentState,
     RequestWaits,
     WaitInfoMsg,
 )
-from repro.core.waitfor import WaitForCondition, WaitTarget, intern_target
+from repro.core.waitfor import WaitForCondition, resolve_conditions
 from repro.mpi.communicator import CommRegistry
 from repro.obs.events import PID_TBON
 from repro.obs.flight import NULL_FLIGHT_RECORDER, FlightRecorder
@@ -385,59 +382,10 @@ class RootNode:
     def _resolve_conditions(
         self, waits: Sequence[WaitInfoMsg]
     ) -> Dict[int, WaitForCondition]:
-        """Expand collective waits rank-wise and build CNF conditions.
-
-        A rank blocked in wave W waits (AND) for every group member
-        whose own blocked operation is *not* W: under strict blocking
-        semantics nobody can have passed an incomplete wave, so
-        non-reporters of W provably have not activated it.
-        """
-        blocked_wave: Dict[int, Tuple[int, int]] = {}
-        infos: Dict[int, RankWaitInfo] = {}
-        for msg in waits:
-            for info in msg.infos:
-                infos[info.rank] = info
-                for entry in info.entries:
-                    if isinstance(entry, CollectiveWait):
-                        blocked_wave[info.rank] = (
-                            entry.comm_id, entry.wave_index
-                        )
-        conditions: Dict[int, WaitForCondition] = {}
-        for rank in sorted(infos):
-            info = infos[rank]
-            cond = WaitForCondition(
-                rank=rank,
-                op_ref=(rank, -1),
-                op_description=info.op_description,
-            )
-            or_clause: List[WaitTarget] = []
-            for entry in info.entries:
-                if isinstance(entry, CollectiveWait):
-                    wave = (entry.comm_id, entry.wave_index)
-                    group = self.comms.get(entry.comm_id).group
-                    for k in group:
-                        if k == rank or blocked_wave.get(k) == wave:
-                            continue
-                        cond.clauses.append(
-                            (intern_target(k, "has not activated the wave"),)
-                        )
-                elif isinstance(entry, P2PWait):
-                    targets = tuple(
-                        intern_target(t, entry.reason)
-                        for t in entry.or_targets
-                    )
-                    if info.or_semantics:
-                        or_clause.extend(targets)
-                    else:
-                        cond.clauses.append(targets)
-                else:
-                    raise ProtocolError(
-                        f"unknown wait entry {type(entry).__name__}"
-                    )
-            if info.or_semantics:
-                cond.clauses.append(tuple(or_clause))
-            conditions[rank] = cond
-        return conditions
+        return resolve_conditions(
+            (info for msg in waits for info in msg.infos),
+            lambda comm_id: self.comms.get(comm_id).group,
+        )
 
     # -- results ------------------------------------------------------------
 

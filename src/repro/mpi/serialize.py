@@ -226,9 +226,16 @@ _TAG_OF: Dict[Type[Any], str] = {}
 
 def _encode_wait_entry(entry: Any) -> WireTuple:
     from repro.core.messages import CollectiveWait, P2PWait
+    from repro.core.waitfor import GroupClause
 
     if isinstance(entry, P2PWait):
-        return ("p", tuple(entry.or_targets), entry.reason)
+        targets = entry.or_targets
+        if isinstance(targets, GroupClause):
+            # Not expanded: the group tuple travels by reference, so a
+            # pickled batch carries it once however many clauses share
+            # it, and the decoded clauses share it again.
+            return ("g", targets.group, targets.rank, targets.reason)
+        return ("p", tuple(targets), entry.reason)
     if isinstance(entry, CollectiveWait):
         return ("c", entry.comm_id, entry.wave_index)
     raise TraceError(f"cannot encode wait entry {type(entry).__name__}")
@@ -236,9 +243,15 @@ def _encode_wait_entry(entry: Any) -> WireTuple:
 
 def _decode_wait_entry(data: WireTuple) -> Any:
     from repro.core.messages import CollectiveWait, P2PWait
+    from repro.core.waitfor import GroupClause
 
     if data[0] == "p":
         return P2PWait(or_targets=tuple(data[1]), reason=data[2])
+    if data[0] == "g":
+        return P2PWait(
+            or_targets=GroupClause(tuple(data[1]), data[2], data[3]),
+            reason=data[3],
+        )
     if data[0] == "c":
         return CollectiveWait(comm_id=data[1], wave_index=data[2])
     raise TraceError(f"cannot decode wait entry tagged {data[0]!r}")

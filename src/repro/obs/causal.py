@@ -19,11 +19,11 @@ Inputs are the wait-state trace events the first-layer nodes emit
   unblocked ranks of the cut.
 
 From the final events of the last detection we rebuild the exact
-AND/OR wait-for conditions the TBON root resolved (the collective
-``blocked_wave`` expansion is mirrored from
-``RootNode._resolve_conditions``), rebuild the WFG, and re-run the
-liveness fixpoint — so the blame root-cause set *equals* the runtime
-WFG's deadlocked set by construction. Blocked time is then attributed:
+AND/OR wait-for conditions the TBON root resolved (through the same
+:func:`repro.core.waitfor.resolve_conditions`), rebuild the WFG, and
+re-run the liveness fixpoint — so the blame root-cause set *equals*
+the runtime WFG's deadlocked set by construction. Blocked time is then
+attributed:
 
 * a terminal interval is walked backward through the reconstructed
   graph to a deadlocked rank (a deadlocked rank blames its deadlocked
@@ -41,7 +41,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.waitfor import WaitForCondition, intern_target
+from repro.core.messages import CollectiveWait, P2PWait, RankWaitInfo
+from repro.core.waitfor import WaitForCondition, resolve_conditions
 from repro.obs.events import TraceEvent
 from repro.obs.timeline import UnifiedTimeline
 from repro.wfg.detect import DetectionResult, detect_deadlock
@@ -130,7 +131,7 @@ class BlameReport:
 
 
 # ---------------------------------------------------------------------------
-# condition reconstruction (mirrors RootNode._resolve_conditions)
+# condition reconstruction
 # ---------------------------------------------------------------------------
 
 
@@ -148,48 +149,37 @@ def conditions_from_wait_args(
 
     The input maps each blocked rank to the ``args`` payload of its
     ``waitstate.final`` event (the format of
-    :func:`repro.core.distributed.wait_info_args`). The collective
-    expansion replicates the root's rule: a rank blocked in wave W
-    waits (AND) for every group member whose own blocked wave is not W.
+    :func:`repro.core.distributed.wait_info_args`). The payloads become
+    the :class:`RankWaitInfo` records they were serialized from and go
+    through :func:`repro.core.waitfor.resolve_conditions`, the resolver
+    the TBON root runs; communicator groups come from the collective
+    entries, which carry them.
     """
-    blocked_wave: Dict[int, Tuple[int, int]] = {}
+    groups: Dict[int, Sequence[int]] = {}
+    infos: List[RankWaitInfo] = []
     for rank, args in per_rank_args.items():
+        entries: List[object] = []
         for entry in args.get("entries", []):
             coll = entry.get("collective")
             if coll is not None:
-                blocked_wave[rank] = (coll["comm"], coll["wave"])
-    conditions: Dict[int, WaitForCondition] = {}
-    for rank in sorted(per_rank_args):
-        args = per_rank_args[rank]
-        cond = WaitForCondition(
-            rank=rank,
-            op_ref=(rank, -1),
-            op_description=str(args.get("op", "?")),
-        )
-        or_clause: List[object] = []
-        for entry in args.get("entries", []):
-            coll = entry.get("collective")
-            if coll is not None:
-                wave = (coll["comm"], coll["wave"])
-                for k in coll.get("group", []):
-                    if k == rank or blocked_wave.get(k) == wave:
-                        continue
-                    cond.clauses.append(
-                        (intern_target(k, "has not activated the wave"),)
-                    )
+                groups[coll["comm"]] = coll.get("group", [])
+                entries.append(CollectiveWait(coll["comm"], coll["wave"]))
             else:
-                targets = tuple(
-                    intern_target(int(t), str(entry.get("reason", "")))
-                    for t in entry.get("targets", [])
+                entries.append(
+                    P2PWait(
+                        tuple(int(t) for t in entry.get("targets", [])),
+                        str(entry.get("reason", "")),
+                    )
                 )
-                if args.get("or"):
-                    or_clause.extend(targets)
-                else:
-                    cond.clauses.append(targets)
-        if args.get("or"):
-            cond.clauses.append(tuple(or_clause))
-        conditions[rank] = cond
-    return conditions
+        infos.append(
+            RankWaitInfo(
+                rank=rank,
+                op_description=str(args.get("op", "?")),
+                entries=tuple(entries),
+                or_semantics=bool(args.get("or")),
+            )
+        )
+    return resolve_conditions(infos, groups.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +246,8 @@ def blame_chain(
     result: DetectionResult,
     conditions: Dict[int, WaitForCondition],
 ) -> List[str]:
-    """Annotated dependency chain along the witness cycle."""
+    """Annotated dependency chain along the witness cycle (read off
+    ``conditions``, which ``graph`` was built from)."""
     cycle = result.witness_cycle
     if not cycle:
         return []
@@ -265,13 +256,7 @@ def blame_chain(
         nxt = cycle[(i + 1) % len(cycle)]
         cond = conditions.get(rank)
         op = cond.op_description if cond is not None else "?"
-        reason = None
-        node = graph.nodes.get(rank)
-        if node is not None:
-            for clause, reasons in zip(node.clauses, node.reasons):
-                if nxt in clause:
-                    reason = reasons[clause.index(nxt)]
-                    break
+        reason = cond.reason_for(nxt) if cond is not None else None
         line = f"rank {rank} in {op} waits for rank {nxt}"
         if reason:
             line += f": {reason}"

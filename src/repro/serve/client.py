@@ -68,6 +68,10 @@ class ServeClient:
         envelope, rid = self._send(op, fields)
         while True:
             reply = self._read_envelope()
+            if reply["kind"] == "response" and reply["id"] == "-":
+                # The daemon could not read our line at all (not JSON,
+                # over its size limit): no id to echo, but it is ours.
+                return self._unwrap(reply)
             if reply["id"] != rid or reply["kind"] != "response":
                 continue  # stale event from an earlier watch
             return self._unwrap(reply)

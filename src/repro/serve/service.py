@@ -45,6 +45,11 @@ DRAIN_RETRY_AFTER = 5.0
 #: Default cap on how long a ``result``/``watch`` wait may park.
 DEFAULT_WAIT_TIMEOUT = 300.0
 
+#: Longest request line a connection may send. An uploaded trace is one
+#: line: a recorded stress ring costs about 8 KB per rank, so asyncio's
+#: 64 KiB default refused anything over 7 ranks; this admits thousands.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ServeSettings:
@@ -103,7 +108,10 @@ class ReproService:
         self.telemetry.set_workers(self.settings.workers)
         if self.settings.port is not None:
             server = await asyncio.start_server(
-                self._handle_client, self.settings.host, self.settings.port
+                self._handle_client,
+                self.settings.host,
+                self.settings.port,
+                limit=MAX_REQUEST_BYTES,
             )
             self._servers.append(server)
             sock = server.sockets[0]
@@ -111,7 +119,9 @@ class ReproService:
         if self.settings.unix_path is not None:
             self._servers.append(
                 await asyncio.start_unix_server(
-                    self._handle_client, path=self.settings.unix_path
+                    self._handle_client,
+                    path=self.settings.unix_path,
+                    limit=MAX_REQUEST_BYTES,
                 )
             )
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -179,7 +189,19 @@ class ReproService:
             self._conn_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
+                line, oversize = await self._read_line(reader)
+                if oversize:
+                    self.telemetry.protocol_error()
+                    await self._send(
+                        writer,
+                        protocol.make_error(
+                            "-",
+                            "bad-request",
+                            "request line exceeds "
+                            f"{MAX_REQUEST_BYTES} bytes",
+                        ),
+                    )
+                    continue
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()
@@ -220,6 +242,21 @@ class ReproService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> Tuple[bytes, bool]:
+        """The next line (empty at end of stream) and whether it was
+        over the reader's limit; an oversize line is dropped through
+        its newline, so the connection stays in step."""
+        oversize = False
+        while True:
+            try:
+                return await reader.readuntil(b"\n"), oversize
+            except asyncio.IncompleteReadError as exc:
+                return exc.partial, oversize
+            except asyncio.LimitOverrunError as exc:
+                oversize = True
+                await reader.readexactly(exc.consumed)
 
     async def _send(
         self, writer: asyncio.StreamWriter, envelope: Dict[str, Any]

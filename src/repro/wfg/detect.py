@@ -21,9 +21,10 @@ cycle (e.g. the two-process send-send cycle of 126.lammps).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.waitfor import GroupClause
 from repro.wfg.graph import WaitForGraph
 
 
@@ -43,6 +44,16 @@ class DetectionResult:
         return bool(self.deadlocked)
 
 
+@dataclass
+class _GroupWatch:
+    """Pending group clauses over one process group."""
+
+    #: Some member of the group is live: every clause is satisfied.
+    fired: bool
+    #: ``(rank, clause index)`` of the clauses still pending.
+    watchers: List[Tuple[int, int]] = field(default_factory=list)
+
+
 def detect_deadlock(graph: WaitForGraph) -> DetectionResult:
     """Run the liveness fixpoint and extract a witness cycle.
 
@@ -50,6 +61,13 @@ def detect_deadlock(graph: WaitForGraph) -> DetectionResult:
     no further operations, so they can release nobody. A blocked
     process all of whose alternatives point at finished processes is
     therefore deadlocked even without a dependency cycle.
+
+    A blocked process is never live while one of its own clauses is
+    pending, so a pending "anyone in G but me" clause is satisfied
+    exactly when the first member of G goes live — whoever that is, it
+    is not the waiter. Group clauses therefore cost one watcher entry
+    each and one membership index per distinct group, instead of one
+    reverse arc per target.
     """
     live: Set[int] = (
         set(range(graph.num_processes))
@@ -57,49 +75,77 @@ def detect_deadlock(graph: WaitForGraph) -> DetectionResult:
         - graph.finished
     )
 
-    # Counting fixpoint: for each blocked node, the number of clauses
-    # that do not yet contain a live target; per (node, clause) the
-    # remaining non-live targets are implicit — we recount lazily via
-    # reverse arcs, which keeps the pass O(arcs).
-    waiting_clauses: Dict[int, List[Set[int]]] = {}
-    reverse: Dict[int, List[Tuple[int, int]]] = {}
+    # Counting fixpoint: per blocked node, which clauses do not yet
+    # contain a live target and how many of them there are. Explicit
+    # clauses are watched through reverse arcs, group clauses through
+    # their group's watch, which keeps the pass O(arcs) in the former
+    # and O(clauses + group sizes) in the latter.
+    pending: Dict[int, List[bool]] = {}
     unsatisfied: Dict[int, int] = {}
-    for rank, node in graph.nodes.items():
-        clause_sets: List[Set[int]] = []
-        pending = 0
-        for ci, clause in enumerate(node.clauses):
-            targets = set(clause)
-            if targets & live:
-                clause_sets.append(set())  # already satisfied
-                continue
-            clause_sets.append(targets)
-            pending += 1
-            for dst in targets:
-                reverse.setdefault(dst, []).append((rank, ci))
-        waiting_clauses[rank] = clause_sets
-        unsatisfied[rank] = pending
+    reverse: Dict[int, List[Tuple[int, int]]] = {}
+    # A group is looked up by identity (clauses of one communicator
+    # share one tuple), then by value (copies that crossed a process
+    # boundary separately), so each distinct group is indexed once.
+    watch_by_id: Dict[int, _GroupWatch] = {}
+    watch_by_value: Dict[Tuple[int, ...], _GroupWatch] = {}
+    watches_of: Dict[int, List[_GroupWatch]] = {}
 
-    queue: deque[int] = deque(
-        rank for rank, pending in unsatisfied.items() if pending == 0
-    )
-    newly_live: Set[int] = set(queue)
+    def watch_for(group: Tuple[int, ...]) -> _GroupWatch:
+        watch = watch_by_id.get(id(group))
+        if watch is None:
+            watch = watch_by_value.get(group)
+            if watch is None:
+                watch = _GroupWatch(fired=not live.isdisjoint(group))
+                watch_by_value[group] = watch
+                if not watch.fired:
+                    for member in group:
+                        watches_of.setdefault(member, []).append(watch)
+            watch_by_id[id(group)] = watch
+        return watch
+
+    for rank, node in graph.nodes.items():
+        flags: List[bool] = []
+        for ci, clause in enumerate(node.clauses):
+            if isinstance(clause, GroupClause):
+                watch = watch_for(clause.group)
+                if not watch.fired:
+                    watch.watchers.append((rank, ci))
+                flags.append(not watch.fired)
+                continue
+            satisfied = not live.isdisjoint(clause)
+            flags.append(not satisfied)
+            if not satisfied:
+                for dst in clause:
+                    reverse.setdefault(dst, []).append((rank, ci))
+        pending[rank] = flags
+        unsatisfied[rank] = sum(flags)
+
+    newly_live: Set[int] = {
+        rank for rank, count in unsatisfied.items() if count == 0
+    }
     # Every initially-live process can release its dependents too.
     release_queue: deque[int] = deque(live)
-    release_queue.extend(queue)
+    release_queue.extend(newly_live)
 
-    while release_queue:
-        releaser = release_queue.popleft()
-        for rank, ci in reverse.get(releaser, ()):  # clauses watching it
-            if rank in newly_live:
-                continue
-            clause = waiting_clauses[rank][ci]
-            if not clause:
-                continue  # clause already satisfied earlier
-            clause.clear()
+    def satisfy(rank: int, ci: int) -> None:
+        flags = pending[rank]
+        if flags[ci]:
+            flags[ci] = False
             unsatisfied[rank] -= 1
             if unsatisfied[rank] == 0:
                 newly_live.add(rank)
                 release_queue.append(rank)
+
+    while release_queue:
+        releaser = release_queue.popleft()
+        for rank, ci in reverse.get(releaser, ()):  # clauses watching it
+            satisfy(rank, ci)
+        for watch in watches_of.get(releaser, ()):
+            if not watch.fired:
+                watch.fired = True
+                for rank, ci in watch.watchers:
+                    satisfy(rank, ci)
+                watch.watchers.clear()
 
     deadlocked = sorted(graph.blocked_ranks - newly_live)
     releasable = sorted(graph.blocked_ranks & newly_live)

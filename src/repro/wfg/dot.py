@@ -9,8 +9,9 @@ straightforward one-arc-per-line serializer the measurement is about;
 from __future__ import annotations
 
 import io
-from typing import Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.waitfor import GroupClause
 from repro.wfg.detect import DetectionResult
 from repro.wfg.graph import WaitForGraph
 
@@ -37,24 +38,40 @@ def render_dot(
         style = ", style=filled, fillcolor=\"#ffcccc\"" if rank in deadlocked else ""
         label = f"{rank}: {_escape(node.op_description)}"
         out.write(f"  n{rank} [label=\"{label}\"{style}];\n")
-    # Targets that are not blocked themselves still need node stubs.
-    stubs = set()
+    # Targets that are not blocked themselves still need node stubs. A
+    # group clause excludes only its own (blocked) node, so its stubs
+    # are those of the whole group, scanned once per group.
+    stubs: Set[int] = set()
+    scanned: Set[int] = set()
     for node in graph.nodes.values():
         for clause in node.clauses:
-            for dst in clause:
-                if dst not in graph.nodes and dst not in stubs:
-                    stubs.add(dst)
+            members = clause
+            if isinstance(clause, GroupClause):
+                if id(clause.group) in scanned:
+                    continue
+                scanned.add(id(clause.group))
+                members = clause.group
+            stubs.update(dst for dst in members if dst not in graph.nodes)
     for dst in sorted(stubs):
         tag = "(finished)" if dst in graph.finished else "(running)"
         out.write(f"  n{dst} [label=\"{dst}: {tag}\", style=dotted];\n")
+    # One join per clause: "<head>dst<tail>" for each target, where the
+    # target names of a group clause are made once per group.
+    names: Dict[Tuple[int, str], List[str]] = {}
     for rank in sorted(graph.nodes):
         node = graph.nodes[rank]
+        head = f"  n{rank} -> n"
         for ci, clause in enumerate(node.clauses):
-            attrs = ""
+            if not clause:
+                continue
+            tail = ";\n"
             if len(clause) > 1:
-                attrs = f" [style=dashed, label=\"OR[{ci}]\"]"
-            for dst in clause:
-                out.write(f"  n{rank} -> n{dst}{attrs};\n")
+                tail = f" [style=dashed, label=\"OR[{ci}]\"];\n"
+            if isinstance(clause, GroupClause):
+                targets = clause.per_target(str, names)
+            else:
+                targets = [str(dst) for dst in clause]
+            out.write(head + (tail + head).join(targets) + tail)
     out.write("}\n")
     return out.getvalue()
 

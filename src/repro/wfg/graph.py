@@ -6,14 +6,17 @@ waits for b"; arcs are grouped into clauses: a node can proceed once
 *every* clause has at least one target that can proceed (AND over
 clauses, OR within a clause). The paper's pure-AND nodes (collectives,
 Waitall, directed p2p) are size-1 clauses; its OR nodes (wildcard
-receives, Waitany) are single multi-target clauses.
+receives, Waitany) are single multi-target clauses. A wildcard
+receive's clause is the condition's own
+:class:`~repro.core.waitfor.GroupClause`, stored by reference: the
+graph of p such waits holds p small objects, not p*(p-1) arcs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.waitfor import WaitForCondition
+from repro.core.waitfor import GroupClause, WaitForCondition
 
 
 @dataclass
@@ -22,10 +25,9 @@ class WfgNode:
 
     rank: int
     op_description: str
-    #: AND of clauses; each clause an OR of target ranks (parallel
-    #: arrays with reasons for report rendering).
-    clauses: List[Tuple[int, ...]] = field(default_factory=list)
-    reasons: List[Tuple[str, ...]] = field(default_factory=list)
+    #: AND of clauses; each clause an OR of target ranks — a plain
+    #: tuple, or a ``GroupClause`` that excludes this node's own rank.
+    clauses: List[Sequence[int]] = field(default_factory=list)
 
 
 class WaitForGraph:
@@ -67,8 +69,16 @@ class WaitForGraph:
             raise ValueError(f"rank {cond.rank} outside universe")
         node = WfgNode(rank=cond.rank, op_description=cond.op_description)
         for clause in cond.clauses:
-            node.clauses.append(tuple(t.rank for t in clause))
-            node.reasons.append(tuple(t.reason for t in clause))
+            if isinstance(clause, GroupClause):
+                # The fixpoint's group shortcut rests on this.
+                if clause.rank != cond.rank:
+                    raise ValueError(
+                        f"group clause of rank {cond.rank} excludes "
+                        f"rank {clause.rank}"
+                    )
+                node.clauses.append(clause)
+            else:
+                node.clauses.append(tuple(t.rank for t in clause))
         self.nodes[cond.rank] = node
 
     @property

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import html
 import io
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.transition import UnexpectedMatch
-from repro.core.waitfor import WaitForCondition
+from repro.core.waitfor import Clause, GroupClause, WaitForCondition
 from repro.wfg.detect import DetectionResult
 from repro.wfg.graph import WaitForGraph
 
@@ -59,10 +59,11 @@ def render_html_report(
     out.write("<table><tr><th>Rank</th><th>Active MPI call</th>"
               "<th>Waits for</th><th>Status</th></tr>\n")
     dead = set(result.deadlocked)
+    names: Dict[Tuple[int, str], List[str]] = {}
     for rank in sorted(conditions):
         cond = conditions[rank]
         cls = " class=\"dead\"" if rank in dead else ""
-        waits = _render_condition(cond)
+        waits = _render_condition(cond, names)
         status = "deadlocked" if rank in dead else "blocked (releasable)"
         out.write(
             f"<tr{cls}><td>{rank}</td>"
@@ -127,6 +128,9 @@ def render_json_report(
     """The machine-readable counterpart of the HTML report."""
     cond_docs: List[Dict[str, Any]] = []
     dead = set(result.deadlocked)
+    # The target documents of a group clause are made once per group
+    # member and shared by every clause over that group.
+    targets: Dict[Tuple[int, str], List[Dict[str, Any]]] = {}
     for rank in sorted(conditions):
         cond = conditions[rank]
         cond_docs.append(
@@ -135,8 +139,7 @@ def render_json_report(
                 "op": cond.op_description,
                 "deadlocked": rank in dead,
                 "clauses": [
-                    [{"rank": t.rank, "reason": t.reason} for t in clause]
-                    for clause in cond.clauses
+                    _clause_doc(clause, targets) for clause in cond.clauses
                 ],
             }
         )
@@ -155,14 +158,30 @@ def render_json_report(
     }
 
 
-def _render_condition(cond: WaitForCondition) -> str:
+def _clause_doc(
+    clause: Clause, memo: Dict[Tuple[int, str], List[Dict[str, Any]]]
+) -> List[Dict[str, Any]]:
+    if isinstance(clause, GroupClause):
+        reason = clause.reason
+        return clause.per_target(
+            lambda rank: {"rank": rank, "reason": reason}, memo
+        )
+    return [{"rank": t.rank, "reason": t.reason} for t in clause]
+
+
+def _render_condition(
+    cond: WaitForCondition, names: Dict[Tuple[int, str], List[str]]
+) -> str:
     parts = []
     for clause in cond.clauses:
-        if not clause:
-            parts.append("<i>unsatisfiable (no possible partner)</i>")
-        elif len(clause) == 1:
-            parts.append(f"rank {clause[0].rank}")
+        if isinstance(clause, GroupClause):
+            ranks = clause.per_target(str, names)
         else:
-            ranks = ", ".join(str(t.rank) for t in clause)
-            parts.append(f"any of [{ranks}]")
+            ranks = [str(t.rank) for t in clause]
+        if not ranks:
+            parts.append("<i>unsatisfiable (no possible partner)</i>")
+        elif len(ranks) == 1:
+            parts.append(f"rank {ranks[0]}")
+        else:
+            parts.append(f"any of [{', '.join(ranks)}]")
     return " AND ".join(parts) if parts else "<i>nothing (tool anomaly)</i>"

@@ -24,6 +24,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro.core.waitfor import GroupClause
 from repro.wfg.graph import WaitForGraph
 
 
@@ -109,8 +110,12 @@ class AggregatedWfg:
 _SignatureKey = Tuple[str, Tuple[Tuple[str, Tuple[int, ...]], ...]]
 
 
-def _signature(rank: int, node_clauses: Sequence[Tuple[int, ...]],
-               op_desc: str) -> _SignatureKey:
+def _signature(
+    rank: int,
+    node_clauses: Sequence[Sequence[int]],
+    op_desc: str,
+    group_keys: Dict[int, Tuple[int, ...]],
+) -> _SignatureKey:
     """Pattern key for equivalence-class merging.
 
     Two processes merge when their operations render identically modulo
@@ -121,22 +126,35 @@ def _signature(rank: int, node_clauses: Sequence[Tuple[int, ...]],
     compare absolutely. Relative patterns (neighbour exchanges) stay
     separate nodes; collapsing those soundly needs modular-offset
     analysis, which the paper leaves open as well.
+
+    For a group clause ``targets | {self}`` is the group itself:
+    ``group_keys`` holds its sorted form, made once per group.
     """
-    clause_key = tuple(
-        ("or", tuple(sorted(set(clause) | {rank})))
-        if len(clause) > 1
-        else ("and", tuple(clause))
-        for clause in node_clauses
-    )
-    return (op_desc.split("@", 1)[0], clause_key)
+    clause_key: List[Tuple[str, Tuple[int, ...]]] = []
+    for clause in node_clauses:
+        if len(clause) <= 1:
+            clause_key.append(("and", tuple(clause)))
+        elif isinstance(clause, GroupClause):
+            key = group_keys.get(id(clause.group))
+            if key is None:
+                key = group_keys[id(clause.group)] = tuple(
+                    sorted(clause.group)
+                )
+            clause_key.append(("or", key))
+        else:
+            clause_key.append(("or", tuple(sorted(set(clause) | {rank}))))
+    return (op_desc.split("@", 1)[0], tuple(clause_key))
 
 
 def simplify(graph: WaitForGraph) -> AggregatedWfg:
     """Aggregate the wait-for graph into class nodes with range arcs."""
     groups: Dict[_SignatureKey, List[int]] = {}
+    group_keys: Dict[int, Tuple[int, ...]] = {}
     for rank in sorted(graph.nodes):
         node = graph.nodes[rank]
-        key = _signature(rank, node.clauses, node.op_description)
+        key = _signature(
+            rank, node.clauses, node.op_description, group_keys
+        )
         groups.setdefault(key, []).append(rank)
 
     agg = AggregatedWfg(num_processes=graph.num_processes)

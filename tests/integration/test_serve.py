@@ -226,6 +226,58 @@ def test_uploaded_program_and_trace_jobs(daemon):
         assert blame_doc["root_causes"] == [0, 1]
 
 
+def test_recorded_trace_over_64_kib_is_analyzed(daemon, tmp_path, capsys):
+    """A recorded stress ring of 32 ranks is a 280 KB request line —
+    over asyncio's default reader limit, which used to drop the
+    connection. Through `repro submit`, as a user uploads it."""
+    from repro.cli import main
+    from repro.mpi.serialize import save_trace
+
+    run = Session().record(stress_programs(32, iterations=20))
+    path = tmp_path / "stress32.json"
+    save_trace(run.matched, str(path))
+    assert path.stat().st_size > 4 * 64 * 1024
+    inline = Session().analyze(run.matched)
+
+    host, port = daemon.address
+    code = main(["submit", str(path), "--server", f"{host}:{port}"])
+    out = capsys.readouterr().out
+    assert code == 0 and ": clean" in out
+    with ServeClient(daemon.address) as client:
+        (job,) = client.jobs()["jobs"]
+        result = client.result(job["job"], wait=True)["result"]
+    assert result["num_ranks"] == 32
+    assert result["deadlocked"] == list(inline.deadlocked) == []
+    assert result["messages_sent"] == inline.messages_sent
+
+
+def test_oversize_request_line_gets_a_structured_error(monkeypatch):
+    from repro.serve import service as service_module
+
+    monkeypatch.setattr(service_module, "MAX_REQUEST_BYTES", 4096)
+    service, thread = start_service()
+    try:
+        with ServeClient(service.address) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit(tenant="big", trace={"pad": "x" * 20000})
+            assert excinfo.value.code == "bad-request"
+            assert not excinfo.value.retryable
+            assert "4096 bytes" in str(excinfo.value)
+            # The rest of the line was dropped: the connection is
+            # still in step and still serving.
+            assert client.ping()
+            job = client.submit(tenant="big", workload="fig2a", ranks=2)
+            assert client.result(job, wait=True)["result"]["deadlocked"] == [
+                0, 1
+            ]
+            assert [j["job"] for j in client.jobs()["jobs"]] == [job]
+    finally:
+        with ServeClient(service.address) as client:
+            client.shutdown()
+        thread.join(30)
+        assert not thread.is_alive(), "daemon did not drain"
+
+
 def test_watch_streams_live_windows(daemon):
     with ServeClient(daemon.address) as submitter:
         job = submitter.submit(tenant="w", workload="fig2a", ranks=2)

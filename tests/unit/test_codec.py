@@ -94,6 +94,54 @@ def test_wait_info_roundtrips_with_nested_entries():
     assert _roundtrip(msg) == msg
 
 
+def test_group_clause_entry_roundtrips_without_expanding():
+    """A wildcard wait crosses the wire as one ``g`` entry holding the
+    group tuple itself; it decodes (and survives the pickle the shard
+    queues add) to an equal clause that is still compact, and the
+    message's modeled size is that of the expanded form."""
+    import pickle
+
+    from repro.core.waitfor import GroupClause
+
+    group = tuple(range(0, 64, 2))
+    infos = tuple(
+        RankWaitInfo(
+            rank=rank,
+            op_description="MPI_Recv(ANY)",
+            entries=(P2PWait(GroupClause(group, rank, "wildcard"), "wildcard"),),
+        )
+        for rank in group[:4]
+    )
+    msg = WaitInfoMsg(detection_id=3, node_id=9, infos=infos)
+    tag, payload = encode_message(msg)
+    entries = [info[2][0] for info in payload[2]]
+    assert [e[0] for e in entries] == ["g"] * 4
+    assert all(e[1] is group for e in entries)
+
+    back = decode_message(pickle.loads(pickle.dumps((tag, payload))))
+    assert back == msg
+    clauses = [info.entries[0].or_targets for info in back.infos]
+    assert all(type(c) is GroupClause for c in clauses)
+    assert all(c.group is clauses[0].group for c in clauses)
+    expanded = WaitInfoMsg(
+        detection_id=3,
+        node_id=9,
+        infos=tuple(
+            RankWaitInfo(
+                rank=info.rank,
+                op_description=info.op_description,
+                entries=(P2PWait(tuple(info.entries[0].or_targets), "wildcard"),),
+            )
+            for info in infos
+        ),
+    )
+    assert back.wire_size == msg.wire_size == expanded.wire_size
+    # Every other entry keeps its context-free format.
+    assert encode_message(expanded)[1][2][0][2][0] == (
+        "p", tuple(group[1:]), "wildcard"
+    )
+
+
 def test_new_op_roundtrips_every_traced_operation():
     """Every operation a real run produces — sends (all modes),
     wildcard receives, nonblocking ops, collectives, finalize —

@@ -1,7 +1,7 @@
 """Wait-for graphs: construction, AND/OR deadlock criterion, outputs."""
 import pytest
 
-from repro.core.waitfor import WaitForCondition, WaitTarget
+from repro.core.waitfor import GroupClause, WaitForCondition, WaitTarget
 from repro.wfg import (
     WaitForGraph,
     detect_deadlock,
@@ -206,6 +206,123 @@ class TestSimplify:
         dot = render_aggregated_dot(agg)
         assert "except self" in dot
         assert dot.count("->") == 1
+
+
+def _group_cond(rank, group, excluded=None):
+    """``rank`` blocked in a wildcard receive over ``group``."""
+    cond = WaitForCondition(
+        rank=rank, op_ref=(rank, 0),
+        op_description=f"MPI_Recv(from=ANY)@{rank}:0",
+    )
+    cond.clauses.append(
+        GroupClause(group, rank if excluded is None else excluded, "wildcard")
+    )
+    return cond
+
+
+def _storm(p):
+    """The Fig. 10 graph in its compact form: p group clauses."""
+    world = tuple(range(p))
+    return WaitForGraph.from_conditions(
+        p, [_group_cond(rank, world) for rank in world]
+    )
+
+
+class TestGroupClauses:
+    def test_graph_stores_the_clause_itself(self):
+        g = _storm(8)
+        assert g.arc_count() == 8 * 7
+        assert g.successors(3) == set(range(8)) - {3}
+        assert all(
+            type(node.clauses[0]) is GroupClause for node in g.nodes.values()
+        )
+        assert len({id(n.clauses[0].group) for n in g.nodes.values()}) == 1
+
+    def test_clause_must_exclude_its_own_node(self):
+        with pytest.raises(ValueError):
+            WaitForGraph(3).add_condition(
+                _group_cond(0, (0, 1, 2), excluded=1)
+            )
+
+    def test_group_released_by_its_first_live_member(self):
+        # 0..2 wait for "anyone but me"; 3 is running.
+        world = (0, 1, 2, 3)
+        conds = [_group_cond(rank, world) for rank in (0, 1, 2)]
+        result = detect_deadlock(WaitForGraph.from_conditions(4, conds))
+        assert result.deadlocked == () and result.releasable == (0, 1, 2)
+        # With 3 finished nobody is left to send.
+        result = detect_deadlock(
+            WaitForGraph.from_conditions(4, conds, finished={3})
+        )
+        assert result.deadlocked == (0, 1, 2)
+        assert result.witness_cycle == (0, 1)
+
+    def test_group_released_by_a_member_that_goes_live_later(self):
+        # 2 waits on running 3; 0 and 1 wait for anyone in {0, 1, 2}.
+        group = (0, 1, 2)
+        conds = [_cond(2, [[3]])] + [
+            _group_cond(rank, group) for rank in (0, 1)
+        ]
+        result = detect_deadlock(WaitForGraph.from_conditions(4, conds))
+        assert result.releasable == (0, 1, 2)
+
+    def test_equal_groups_of_distinct_identity_share_one_watch(self):
+        # What the sharded path delivers: one group copy per batch.
+        conds = [_cond(2, [[3]])] + [
+            _group_cond(rank, tuple([0, 1, 2])) for rank in (0, 1)
+        ]
+        assert conds[1].clauses[0].group is not conds[2].clauses[0].group
+        result = detect_deadlock(WaitForGraph.from_conditions(4, conds))
+        assert result.releasable == (0, 1, 2)
+
+    def test_fixpoint_is_linear_in_the_ranks(self):
+        """8x the ranks is 64x the arcs of the expanded storm graph; the
+        fixpoint builds no per-target reverse arc, so it may cost at
+        most 16x."""
+        import time
+
+        def best(graph):
+            times = []
+            for _ in range(9):
+                t0 = time.perf_counter()
+                result = detect_deadlock(graph)
+                times.append(time.perf_counter() - t0)
+                assert len(result.deadlocked) == graph.num_processes
+            return min(times)
+
+        small, large = best(_storm(128)), best(_storm(1024))
+        assert large / small < 16, (small, large)
+
+    def test_simplify_keys_the_class_by_the_group(self):
+        p = 16
+        expanded = WaitForGraph.from_conditions(p, [
+            _cond(i, [[j for j in range(p) if j != i]],
+                  desc=f"MPI_Recv(from=ANY)@{i}:0")
+            for i in range(p)
+        ])
+        agg = simplify(_storm(p))
+        assert agg.arc_count() == 1 and len(agg.nodes) == 1
+        assert render_aggregated_dot(agg) == render_aggregated_dot(
+            simplify(expanded)
+        )
+
+    def test_dot_is_that_of_the_expanded_graph(self):
+        p = 5
+        expanded = WaitForGraph.from_conditions(p, [
+            _cond(i, [[j for j in range(p) if j != i]],
+                  desc=f"MPI_Recv(from=ANY)@{i}:0")
+            for i in range(1, p)
+        ], finished={0})
+        world = tuple(range(p))
+        compact = WaitForGraph.from_conditions(
+            p, [_group_cond(rank, world) for rank in range(1, p)],
+            finished={0},
+        )
+        result = detect_deadlock(compact)
+        assert result == detect_deadlock(expanded)
+        dot = render_dot(compact, result)
+        assert dot == render_dot(expanded, result)
+        assert "n0 [label=\"0: (finished)\", style=dotted]" in dot
 
 
 class TestRankSet:
