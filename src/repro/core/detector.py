@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.distributed import FirstLayerNode
 from repro.core.messages import NewOpMsg, RankDoneMsg
 from repro.core.treenodes import DetectionRecord, InteriorNode, RootNode
+from repro.mpi.ops import Operation
 from repro.mpi.trace import MatchedTrace
 from repro.obs.flight import FlightRecorder
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -63,6 +64,66 @@ class DistributedOutcome:
                 assert record.result is not None
                 return record.result.deadlocked
         return ()
+
+
+class _Injector:
+    """Streams one rank's operations into its host at preset times.
+
+    Each firing re-arms itself for the rank's next time before it
+    sends, so the event heap holds one pending injection per rank
+    rather than one per operation. An object, not a self-referencing
+    closure: the only reference cycle (injector -> network -> heap ->
+    injector) exists while an injection is pending, so a finished job
+    is freed by reference counting alone.
+
+    Re-arming allocates heap sequence numbers as the run goes instead
+    of rank-major up front, so the event order matches pre-scheduling
+    exactly when no injection time equals another rank's or a
+    ``detect_at`` time. The seeded ``op_gap > 0`` float draws do not
+    tie in any run the repo makes; with ``op_gap=0`` same-instant
+    injections interleave round-robin instead — same verdict,
+    different latency-draw order and ``simulated_seconds``.
+    """
+
+    __slots__ = ("_net", "_rank", "_host", "_ops", "_times", "_next")
+
+    def __init__(
+        self,
+        net: Network,
+        rank: int,
+        host: int,
+        ops: Sequence[Operation],
+        times: Sequence[float],
+    ) -> None:
+        # times[k] injects ops[k]; the one extra time is the RankDoneMsg.
+        assert len(times) == len(ops) + 1
+        self._net = net
+        self._rank = rank
+        self._host = host
+        self._ops = ops
+        self._times = times
+        self._next = 0
+
+    def arm(self) -> None:
+        # A node_cost > 0 network's clock can run ahead of the preset
+        # time; inject as soon as possible then, as ``send`` would.
+        net = self._net
+        net.call_at(max(self._times[self._next], net.now), self)
+
+    def __call__(self) -> None:
+        k = self._next
+        self._next = k + 1
+        ops = self._ops
+        if k < len(ops):
+            self.arm()
+            self._net.send(
+                self._rank, self._host, NewOpMsg(ops[k]), NewOpMsg.wire_size
+            )
+        else:
+            self._net.send(
+                self._rank, self._host, RankDoneMsg(self._rank),
+                RankDoneMsg.wire_size,
+            )
 
 
 class DistributedDeadlockDetector:
@@ -122,30 +183,21 @@ class DistributedDeadlockDetector:
     # ------------------------------------------------------------------
 
     def _schedule_events(self) -> None:
-        """Inject every rank's operations in order, with seeded skew."""
+        """Arm one injector per rank over its seeded injection times."""
+        gap = self._op_gap
+        rng = self._rng.random
         for rank in range(self.trace.num_processes):
-            host = self.topology.host_of_rank(rank)
-            start = self._rng.random() * self._op_gap * 4
-            seq = self.trace.sequence(rank)
-
-            def make_sender(r: int, h: int, ops: tuple) -> None:
-                t = start
-                for op in ops:
-                    msg = NewOpMsg(op)
-
-                    def fire(m=msg, rr=r, hh=h) -> None:
-                        self.net.send(rr, hh, m, NewOpMsg.wire_size)
-
-                    self.net.call_at(t, fire)
-                    t += self._op_gap * (0.5 + self._rng.random())
-                done = RankDoneMsg(r)
-
-                def fire_done(m=done, rr=r, hh=h) -> None:
-                    self.net.send(rr, hh, m, RankDoneMsg.wire_size)
-
-                self.net.call_at(t, fire_done)
-
-            make_sender(rank, host, seq)
+            ops = self.trace.sequence(rank)
+            # Rank-major, start first: the draw order every pinned
+            # simulated time depends on.
+            t = rng() * gap * 4
+            times = [t]
+            for _ in ops:
+                t += gap * (0.5 + rng())
+                times.append(t)
+            _Injector(
+                self.net, rank, self.topology.host_of_rank(rank), ops, times
+            ).arm()
 
     def run(
         self,

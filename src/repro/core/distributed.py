@@ -20,7 +20,7 @@ keeps up (Section 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import (
     AckConsistentState,
@@ -146,39 +146,26 @@ class FirstLayerNode:
     # ------------------------------------------------------------------
 
     def handle(self, msg: object, net: Transport, src: int) -> None:
-        self.stats[type(msg).__name__] = self.stats.get(type(msg).__name__, 0) + 1
-        if isinstance(msg, NewOpMsg):
-            self._handle_new_op(msg.op, net)
-        elif isinstance(msg, RankDoneMsg):
-            self._handle_rank_done(msg, net)
-        elif isinstance(msg, PassSend):
-            self._handle_pass_send(msg, net)
-        elif isinstance(msg, RecvActive):
-            self._handle_recv_active(msg, net)
-        elif isinstance(msg, RecvActiveAck):
-            self._handle_recv_active_ack(msg, net)
-        elif isinstance(msg, CollectiveAck):
-            self._handle_collective_ack(msg, net)
-        elif isinstance(msg, RequestConsistentState):
-            self._handle_request_consistent_state(msg, net)
-        elif isinstance(msg, Ping):
-            net.send(self.node_id, src,
-                     Pong(msg.detection_id, msg.remaining), Pong.wire_size)
-        elif isinstance(msg, Pong):
-            self._handle_pong(msg, net, src)
-        elif isinstance(msg, RequestWaits):
-            self._handle_request_waits(msg, net)
-        else:
+        mtype = type(msg)
+        name = mtype.__name__
+        self.stats[name] = self.stats.get(name, 0) + 1
+        handler = self._HANDLERS.get(mtype)
+        if handler is None:
             raise ProtocolError(
-                f"first-layer node {self.node_id} cannot handle "
-                f"{type(msg).__name__}"
+                f"first-layer node {self.node_id} cannot handle {name}"
             )
+        handler(self, msg, net, src)
+
+    def _handle_ping(self, msg: Ping, net: Transport, src: int) -> None:
+        net.send(self.node_id, src,
+                 Pong(msg.detection_id, msg.remaining), Pong.wire_size)
 
     # ------------------------------------------------------------------
     # newOp / activate / advance (Figure 7 core)
     # ------------------------------------------------------------------
 
-    def _handle_new_op(self, op: Operation, net: Transport) -> None:
+    def _handle_new_op(self, msg: NewOpMsg, net: Transport, src: int) -> None:
+        op = msg.op
         window = self.windows.get(op.rank)
         if window is None:
             raise ProtocolError(
@@ -195,7 +182,8 @@ class FirstLayerNode:
             net.obs.metrics.gauge(
                 f"waitstate.window.node{self.node_id}"
             ).set(len(window))
-        if op.is_send() and op.peer is not None and op.peer >= 0:
+        kind = op.kind
+        if kind.send and op.peer is not None and op.peer >= 0:
             # newOp: route the send's matching info to the node hosting
             # the matching receive (possibly ourselves — uniform path).
             info = PassSend(
@@ -212,26 +200,23 @@ class FirstLayerNode:
                 info,
                 PassSend.wire_size,
             )
-        elif (
-            op.kind in (
-                OpKind.RECV, OpKind.IRECV, OpKind.PSTART_RECV, OpKind.PROBE
-            )
-            and op.peer != PROC_NULL
-        ):
+        elif (kind.recv or kind is OpKind.PROBE) and op.peer != PROC_NULL:
             event = self.matcher.post_receive(op)
             if event is not None:
                 self._process_match(event, net)
-        elif op.is_collective() or op.is_finalize():
+        elif kind.collective or kind is OpKind.FINALIZE:
             key = (op.rank, op.comm_id)
             index = self._next_wave.get(key, 0)
             self._next_wave[key] = index + 1
-            if not op.is_finalize():
+            if kind.collective:
                 wave = (op.comm_id, index)
                 self._wave_ops.setdefault(wave, {})[op.rank] = op.ts
                 self._wave_key_by_op[op.ref] = wave
         self._try_advance(op.rank, net)
 
-    def _handle_rank_done(self, msg: RankDoneMsg, net: Transport) -> None:
+    def _handle_rank_done(
+        self, msg: RankDoneMsg, net: Transport, src: int
+    ) -> None:
         window = self.windows.get(msg.rank)
         if window is None:
             raise ProtocolError(
@@ -261,7 +246,8 @@ class FirstLayerNode:
         # Unconditional: one float store; both the dwell events and the
         # always-on flight recorder need the activation stamp.
         state.activated_at = net.now
-        if op.is_collective():
+        kind = op.kind
+        if kind.collective:
             wave = self._wave_of(op)
             emitted = self._wave_agg.add(
                 wave,
@@ -284,10 +270,10 @@ class FirstLayerNode:
                     CollectiveReady.wire_size,
                 )
             return
-        if (op.is_recv() or op.is_probe()) and state.matched_send is not None:
+        if (kind.recv or kind.probe) and state.matched_send is not None:
             self._send_recv_active(state, net)
             return
-        if op.is_send():
+        if kind.send:
             if state.got_recv_active:
                 self._send_ack(state.matched_recv, probe=False, net=net)
             for probe_ref in state.pending_probe_acks:
@@ -328,19 +314,20 @@ class FirstLayerNode:
 
     def _can_advance(self, state: OpState, window: RankWindow) -> bool:
         op = state.op
-        if op.is_finalize():
+        kind = op.kind
+        if kind is OpKind.FINALIZE:
             return False
-        if op.is_p2p() and op.peer == PROC_NULL:
+        if kind.p2p and op.peer == PROC_NULL:
             return True
         if not state.is_blocking():
             return True
-        if op.is_send():
+        if kind.send:
             return state.got_recv_active
-        if op.is_recv() or op.is_probe():
+        if kind.recv or kind.probe:
             return state.got_ack
-        if op.is_collective():
+        if kind.collective:
             return state.collective_acked
-        if op.is_completion():
+        if kind.completion:
             return window.completion_ready(state)
         return False
 
@@ -422,11 +409,15 @@ class FirstLayerNode:
         if state.activated:
             self._send_recv_active(state, net)
 
-    def _handle_pass_send(self, msg: PassSend, net: Transport) -> None:
+    def _handle_pass_send(
+        self, msg: PassSend, net: Transport, src: int
+    ) -> None:
         for event in self.matcher.store_send(msg):
             self._process_match(event, net)
 
-    def _handle_recv_active(self, msg: RecvActive, net: Transport) -> None:
+    def _handle_recv_active(
+        self, msg: RecvActive, net: Transport, src: int
+    ) -> None:
         window = self.windows.get(msg.send_rank)
         if window is None:
             raise ProtocolError(
@@ -448,7 +439,9 @@ class FirstLayerNode:
             window.evict_completed_send(msg.send_ts)
         self._try_advance(msg.send_rank, net)
 
-    def _handle_recv_active_ack(self, msg: RecvActiveAck, net: Transport) -> None:
+    def _handle_recv_active_ack(
+        self, msg: RecvActiveAck, net: Transport, src: int
+    ) -> None:
         window = self.windows.get(msg.recv_rank)
         if window is None:
             raise ProtocolError(
@@ -460,7 +453,9 @@ class FirstLayerNode:
         state.completion_satisfied = True
         self._try_advance(msg.recv_rank, net)
 
-    def _handle_collective_ack(self, msg: CollectiveAck, net: Transport) -> None:
+    def _handle_collective_ack(
+        self, msg: CollectiveAck, net: Transport, src: int
+    ) -> None:
         # A root ack implies every participant (including all hosted
         # ones) already activated its wave op, so the local records are
         # complete and can be retired after marking.
@@ -479,7 +474,7 @@ class FirstLayerNode:
     # ------------------------------------------------------------------
 
     def _handle_request_consistent_state(
-        self, msg: RequestConsistentState, net: Transport
+        self, msg: RequestConsistentState, net: Transport, src: int
     ) -> None:
         """Figure 8, with a symmetric ping set.
 
@@ -567,7 +562,9 @@ class FirstLayerNode:
             AckConsistentState.wire_size,
         )
 
-    def _handle_request_waits(self, msg: RequestWaits, net: Transport) -> None:
+    def _handle_request_waits(
+        self, msg: RequestWaits, net: Transport, src: int
+    ) -> None:
         infos: List[RankWaitInfo] = []
         blocked_states: List[OpState] = []
         unblocked: List[int] = []
@@ -699,6 +696,20 @@ class FirstLayerNode:
             entries=tuple(entries),
             or_semantics=or_semantics,
         )
+
+    #: Message type -> handler; every handler takes (msg, net, src).
+    _HANDLERS: Dict[type, Callable[..., None]] = {
+        NewOpMsg: _handle_new_op,
+        RankDoneMsg: _handle_rank_done,
+        PassSend: _handle_pass_send,
+        RecvActive: _handle_recv_active,
+        RecvActiveAck: _handle_recv_active_ack,
+        CollectiveAck: _handle_collective_ack,
+        RequestConsistentState: _handle_request_consistent_state,
+        Ping: _handle_ping,
+        Pong: _handle_pong,
+        RequestWaits: _handle_request_waits,
+    }
 
     # ------------------------------------------------------------------
     # introspection (tests / detector)

@@ -24,15 +24,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.mpi.blocking import BlockingSemantics, is_blocking
-from repro.mpi.constants import OpKind, completion_needs_all
+from repro.mpi.constants import PROC_NULL, OpKind, completion_needs_all
 from repro.mpi.ops import Operation, OpRef
 from repro.util.errors import ProtocolError, ResourceLimitError
 
 _STRICT = BlockingSemantics.strict()
-
-# Requests completing locally regardless of matching (rule 4 treats
-# them as always satisfied).
-_LOCAL_COMPLETION_KINDS = frozenset({OpKind.IBSEND, OpKind.IRSEND})
 
 
 @dataclass
@@ -75,10 +71,19 @@ class OpState:
         return self.op.ref
 
     def is_blocking(self) -> bool:
-        return is_blocking(self.op, _STRICT)
+        """The strict ``b`` of Section 3.1, read from the per-kind table."""
+        op = self.op
+        kind = op.kind
+        blocks = kind.strict_blocking
+        if blocks is None:
+            return is_blocking(op, _STRICT)  # raises: b is undefined here
+        return blocks and not (kind.p2p and op.peer == PROC_NULL)
 
     def completes_locally(self) -> bool:
-        return self.op.kind in _LOCAL_COMPLETION_KINDS
+        """Requests completing locally regardless of matching (rule 4
+        treats them as always satisfied)."""
+        kind = self.op.kind
+        return kind is OpKind.IBSEND or kind is OpKind.IRSEND
 
 
 class RankWindow:

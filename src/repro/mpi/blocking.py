@@ -16,14 +16,9 @@ explicit so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.mpi.constants import (
-    PROC_NULL,
-    OpKind,
-    is_collective_kind,
-    is_test_kind,
-    is_wait_kind,
-)
+from repro.mpi.constants import PROC_NULL, OpKind
 from repro.mpi.ops import Operation
 
 # Collectives where even a relaxed MPI must synchronize all participants
@@ -82,7 +77,7 @@ class BlockingSemantics:
 
     def collective_synchronizes(self, kind: OpKind) -> bool:
         """Whether a collective kind synchronizes its full group."""
-        if not is_collective_kind(kind):
+        if not kind.collective:
             raise ValueError(f"{kind} is not a collective")
         if self.synchronizing_collectives:
             return True
@@ -130,10 +125,32 @@ def is_blocking(op: Operation, semantics: BlockingSemantics | None = None) -> bo
     if kind in (OpKind.SEND_INIT, OpKind.RECV_INIT, OpKind.REQUEST_FREE):
         # Persistent-request management is purely local.
         return False
-    if is_collective_kind(kind):
+    if kind.collective:
         return True
-    if is_wait_kind(kind):
+    if kind.wait:
         return True
-    if is_test_kind(kind):
+    if kind.test:
         return False
     raise ValueError(f"blocking predicate undefined for {kind}")
+
+
+def _strict_b(kind: OpKind) -> Optional[bool]:
+    """``b`` under the strict semantics for one kind, ``None`` where
+    it is undefined. Strict ``b`` ignores payload size, so one probe
+    operation per kind (real peer, so PROC_NULL stays a per-op check)
+    decides it."""
+    probe = Operation(
+        kind=kind, rank=0, ts=0, peer=0, request=0, requests=(0,)
+    )
+    try:
+        return is_blocking(probe, BlockingSemantics.strict())
+    except ValueError:
+        return None
+
+
+# Section 3.1's classification, evaluated once per kind: the tool-side
+# trackers read ``kind.strict_blocking`` instead of walking the chain
+# above per message.
+for _kind in OpKind:
+    _kind.strict_blocking = _strict_b(_kind)
+del _kind

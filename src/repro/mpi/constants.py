@@ -11,6 +11,7 @@ programs read like mpi4py code.
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 #: Wildcard source for receive operations (``MPI_ANY_SOURCE``).
 ANY_SOURCE: int = -1
@@ -30,8 +31,29 @@ class OpKind(enum.Enum):
     """Kind of an intercepted MPI operation.
 
     The grouping properties (:func:`is_send_kind` etc.) encode the
-    classification that the paper's transition rules dispatch on.
+    classification that the paper's transition rules dispatch on. Each
+    is a plain per-member attribute, filled in once at import from the
+    frozensets below (and, for ``strict_blocking``, from the Section
+    3.1 predicate in :mod:`repro.mpi.blocking`), so the hot paths pay
+    one attribute read per question instead of hashing the member.
     """
+
+    send: bool
+    recv: bool
+    probe: bool
+    p2p: bool
+    nonblocking_p2p: bool
+    collective: bool
+    rooted_collective: bool
+    wait: bool
+    test: bool
+    completion: bool
+    any_completion: bool
+    #: The strict ``b`` of Section 3.1 for a non-PROC_NULL peer; ``None``
+    #: where ``b`` is undefined (``SENDRECV_MARKER``). Assigned by
+    #: :mod:`repro.mpi.blocking` (which imports this module, so it
+    #: cannot be set here); ``repro.mpi`` imports both.
+    strict_blocking: Optional[bool]
 
     # Blocking point-to-point.
     SEND = "MPI_Send"
@@ -164,54 +186,71 @@ _ANY_COMPLETION_KINDS = frozenset(
 )
 
 
+# The frozensets above are the definition of the classification; this
+# loop is the only place they are consulted.
+for _kind in OpKind:
+    _kind.send = _kind in _SEND_KINDS
+    _kind.recv = _kind in _RECV_KINDS
+    _kind.probe = _kind in _PROBE_KINDS
+    _kind.p2p = _kind.send or _kind.recv or _kind.probe
+    _kind.nonblocking_p2p = _kind in _NONBLOCKING_P2P_KINDS
+    _kind.collective = _kind in _COLLECTIVE_KINDS
+    _kind.rooted_collective = _kind in _ROOTED_COLLECTIVE_KINDS
+    _kind.wait = _kind in _WAIT_KINDS
+    _kind.test = _kind in _TEST_KINDS
+    _kind.completion = _kind.wait or _kind.test
+    _kind.any_completion = _kind in _ANY_COMPLETION_KINDS
+del _kind
+
+
 def is_send_kind(kind: OpKind) -> bool:
     """Return ``True`` for any send flavour, blocking or not."""
-    return kind in _SEND_KINDS
+    return kind.send
 
 
 def is_recv_kind(kind: OpKind) -> bool:
     """Return ``True`` for blocking and non-blocking receives."""
-    return kind in _RECV_KINDS
+    return kind.recv
 
 
 def is_probe_kind(kind: OpKind) -> bool:
     """Return ``True`` for ``MPI_Probe`` / ``MPI_Iprobe``."""
-    return kind in _PROBE_KINDS
+    return kind.probe
 
 
 def is_p2p_kind(kind: OpKind) -> bool:
     """Return ``True`` for any point-to-point or probe operation."""
-    return kind in _SEND_KINDS or kind in _RECV_KINDS or kind in _PROBE_KINDS
+    return kind.p2p
 
 
 def is_nonblocking_p2p_kind(kind: OpKind) -> bool:
     """Return ``True`` for request-creating point-to-point operations."""
-    return kind in _NONBLOCKING_P2P_KINDS
+    return kind.nonblocking_p2p
 
 
 def is_collective_kind(kind: OpKind) -> bool:
     """Return ``True`` for operations matched by collective matching."""
-    return kind in _COLLECTIVE_KINDS
+    return kind.collective
 
 
 def is_rooted_collective_kind(kind: OpKind) -> bool:
     """Return ``True`` for collectives that carry a root argument."""
-    return kind in _ROOTED_COLLECTIVE_KINDS
+    return kind.rooted_collective
 
 
 def is_wait_kind(kind: OpKind) -> bool:
     """Return ``True`` for blocking completion operations."""
-    return kind in _WAIT_KINDS
+    return kind.wait
 
 
 def is_test_kind(kind: OpKind) -> bool:
     """Return ``True`` for non-blocking completion operations."""
-    return kind in _TEST_KINDS
+    return kind.test
 
 
 def is_completion_kind(kind: OpKind) -> bool:
     """Return ``True`` for operations completing MPI requests."""
-    return kind in _WAIT_KINDS or kind in _TEST_KINDS
+    return kind.completion
 
 
 def completion_needs_all(kind: OpKind) -> bool:
@@ -221,6 +260,6 @@ def completion_needs_all(kind: OpKind) -> bool:
     non-blocking operation matched with an active partner, while
     ``MPI_Waitany``/``MPI_Waitsome`` (rule 4(I)) need just one.
     """
-    if not is_completion_kind(kind):
+    if not kind.completion:
         raise ValueError(f"{kind} is not a completion operation")
-    return kind not in _ANY_COMPLETION_KINDS
+    return not kind.any_completion

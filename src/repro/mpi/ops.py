@@ -19,18 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.mpi.constants import (
-    ANY_SOURCE,
-    ANY_TAG,
-    OpKind,
-    is_collective_kind,
-    is_completion_kind,
-    is_nonblocking_p2p_kind,
-    is_p2p_kind,
-    is_probe_kind,
-    is_recv_kind,
-    is_send_kind,
-)
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG, OpKind
 
 #: Reference to an operation as the paper writes it: ``(i, j)`` with the
 #: process identifier first and the local logical timestamp second.
@@ -83,14 +72,15 @@ class Operation:
             raise ValueError(f"negative rank {self.rank}")
         if self.ts < 0:
             raise ValueError(f"negative timestamp {self.ts}")
-        if is_p2p_kind(self.kind) and self.peer is None:
-            raise ValueError(f"{self.kind.value} requires a peer rank")
-        if is_send_kind(self.kind) and self.peer == ANY_SOURCE:
+        kind = self.kind
+        if kind.p2p and self.peer is None:
+            raise ValueError(f"{kind.value} requires a peer rank")
+        if kind.send and self.peer == ANY_SOURCE:
             raise ValueError("sends cannot target ANY_SOURCE")
-        if is_nonblocking_p2p_kind(self.kind) and self.request is None:
-            raise ValueError(f"{self.kind.value} requires a request id")
-        if is_completion_kind(self.kind) and not self.requests:
-            raise ValueError(f"{self.kind.value} requires request ids")
+        if kind.nonblocking_p2p and self.request is None:
+            raise ValueError(f"{kind.value} requires a request id")
+        if kind.completion and not self.requests:
+            raise ValueError(f"{kind.value} requires request ids")
 
     # -- classification helpers (used pervasively by the analyses) ------
 
@@ -100,32 +90,34 @@ class Operation:
         return (self.rank, self.ts)
 
     def is_send(self) -> bool:
-        return is_send_kind(self.kind)
+        return self.kind.send
 
     def is_recv(self) -> bool:
-        return is_recv_kind(self.kind)
+        return self.kind.recv
 
     def is_probe(self) -> bool:
-        return is_probe_kind(self.kind)
+        return self.kind.probe
 
     def is_p2p(self) -> bool:
-        return is_p2p_kind(self.kind)
+        return self.kind.p2p
 
     def is_collective(self) -> bool:
-        return is_collective_kind(self.kind)
+        return self.kind.collective
 
     def is_completion(self) -> bool:
-        return is_completion_kind(self.kind)
+        return self.kind.completion
 
     def is_finalize(self) -> bool:
         return self.kind is OpKind.FINALIZE
 
     def is_wildcard_receive(self) -> bool:
         """True for receives/probes posted with ``MPI_ANY_SOURCE``."""
-        return (self.is_recv() or self.is_probe()) and self.peer == ANY_SOURCE
+        kind = self.kind
+        return (kind.recv or kind.probe) and self.peer == ANY_SOURCE
 
     def uses_any_tag(self) -> bool:
-        return (self.is_recv() or self.is_probe()) and self.tag == ANY_TAG
+        kind = self.kind
+        return (kind.recv or kind.probe) and self.tag == ANY_TAG
 
     def effective_source(self) -> Optional[int]:
         """Source rank after resolving wildcards with runtime knowledge.

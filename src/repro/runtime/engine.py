@@ -862,8 +862,11 @@ class Engine:
             self._wave_waiters.setdefault(key, {})[rank] = op
             self._park(rank, call, op.ref)
             # A new arrival may release earlier-parked relaxed waiters
-            # (e.g. non-roots of a bcast once the root arrived).
-            self._release_relaxed_waiters(wave)
+            # (e.g. non-roots of a bcast once the root arrived). Nobody
+            # leaves a synchronizing wave early, so those skip the
+            # rescan of every parked waiter.
+            if not self.semantics.collective_synchronizes(op.kind):
+                self._release_relaxed_waiters(wave)
 
     def _can_leave_wave(self, op: Operation, wave: CollectiveWave) -> bool:
         """Relaxed-semantics early exit from an incomplete collective."""

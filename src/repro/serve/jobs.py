@@ -14,7 +14,7 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.util.errors import ReproError
@@ -124,6 +124,15 @@ class Job:
     #: Guards state transitions: the queued -> running step (worker
     #: thread) races the queued -> cancelled step (event loop).
     lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def release_payload(self) -> None:
+        """Drop the uploaded source/trace of a terminal job.
+
+        The table keeps every job for ``jobs``/``status``/``result``;
+        none of those read the payload, and a daemon that kept it would
+        grow by one upload per job served.
+        """
+        self.spec = replace(self.spec, source=None, trace=None)
 
     def status_doc(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {

@@ -153,6 +153,7 @@ class WorkerPool:
             with self._lock:
                 self._running -= 1
             job.finished_at = time.time()
+            job.release_payload()
             job.done.set()
             if self._on_complete is not None:
                 self._on_complete(job)

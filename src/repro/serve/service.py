@@ -357,6 +357,7 @@ class ReproService:
         with job.lock:
             job.state = CANCELLED
         job.error = code
+        job.release_payload()
         job.done.set()
         self.quotas.release(job.tenant)
         self.telemetry.job_rejected(tenant, code)
@@ -444,6 +445,7 @@ class ReproService:
             )
             return
         job.finished_at = time.time()
+        job.release_payload()
         job.done.set()
         self.quotas.release(job.tenant)
         self.telemetry.job_finished(job.tenant, CANCELLED, 0.0)

@@ -12,14 +12,20 @@ message at a time with a configurable per-message cost.
 Handlers run inside the simulation: a node's ``handle`` may call
 :meth:`Network.send`, and time advances only through the event queue —
 there is no wall-clock dependence anywhere.
+
+The queue is a heap of plain ``(time, seq, dst, src, msg)`` tuples.
+``seq`` counts every push, so two entries never tie on ``(time, seq)``
+and the heap orders them with C float/int comparisons alone: events at
+one instant fire in the order they were scheduled, which is what makes
+a channel FIFO (its messages never arrive out of send order, and
+same-instant ones dequeue by ``seq``).
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, List, Protocol, Tuple
 
 from repro.obs.events import PID_TBON
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -48,7 +54,7 @@ class Transport(Protocol):
     unchanged in-process and across shard workers.
     """
 
-    obs: object
+    obs: Observer
 
     @property
     def now(self) -> float:
@@ -89,15 +95,10 @@ def jittered_latency(
     return model
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    kind: str = "deliver"
-    src: int = -1
-    dst: int = -1
-    msg: object = None
-    callback: Optional[Callable[[], None]] = None
+#: A heap entry: ``(time, seq, dst, src, msg)``. ``dst < 0`` marks a
+#: scheduled call whose callback rides in the ``src`` slot.
+_Entry = Tuple[float, int, int, Any, object]
+_CALL = -1
 
 
 class Network:
@@ -116,7 +117,7 @@ class Network:
         self._max_events = max_events
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._nodes: Dict[int, Node] = {}
-        self._queue: List[_Event] = []
+        self._queue: List[_Entry] = []
         self._seq = itertools.count()
         self._now = 0.0
         #: Non-overtaking enforcement: earliest admissible delivery time
@@ -126,6 +127,8 @@ class Network:
         self._busy_until: Dict[int, float] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: High-water mark of the event heap (calls + in-flight messages).
+        self.peak_queue = 0
         self._deliveries = 0
 
     @property
@@ -133,6 +136,9 @@ class Network:
         return self._now
 
     def attach(self, node: Node) -> None:
+        if node.node_id < 0:
+            # Negative destinations mark scheduled calls in the heap.
+            raise ValueError(f"negative node id {node.node_id}")
         if node.node_id in self._nodes:
             raise ValueError(f"node {node.node_id} attached twice")
         self._nodes[node.node_id] = node
@@ -147,14 +153,14 @@ class Network:
         arrival = self._now + latency
         key = (src, dst)
         front = self._channel_front.get(key, 0.0)
-        arrival = max(arrival, front)
-        # Strictly increase the channel front so same-instant messages
-        # still dequeue in send order (seq breaks exact ties).
+        if front > arrival:
+            arrival = front
+        # The channel front never moves back, and same-instant messages
+        # still dequeue in send order: the unique seq breaks exact ties
+        # before the heap could look at src, dst or the payload.
         self._channel_front[key] = arrival
         heapq.heappush(
-            self._queue,
-            _Event(time=arrival, seq=next(self._seq), src=src, dst=dst,
-                   msg=msg),
+            self._queue, (arrival, next(self._seq), dst, src, msg)
         )
         self.messages_sent += 1
         self.bytes_sent += size
@@ -172,9 +178,7 @@ class Network:
         if time < self._now:
             raise ValueError("cannot schedule in the past")
         heapq.heappush(
-            self._queue,
-            _Event(time=time, seq=next(self._seq), kind="call",
-                   callback=callback),
+            self._queue, (time, next(self._seq), _CALL, callback, None)
         )
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
@@ -191,55 +195,63 @@ class Network:
         stop with later events pending is not.
         """
         processed = 0
-        while self._queue:
-            if until is not None and self._queue[0].time > until:
+        queue = self._queue
+        nodes = self._nodes
+        obs = self.obs
+        node_cost = self._node_cost
+        max_events = self._max_events
+        heappop = heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
-                return self._now
-            event = heapq.heappop(self._queue)
+                return until
+            # Pushes only happen between pops, so the length seen here
+            # is the exact high-water mark.
+            if len(queue) > self.peak_queue:
+                self.peak_queue = len(queue)
+            time, _, dst, src, msg = heappop(queue)
             processed += 1
-            if processed > self._max_events:
+            if processed > max_events:
                 raise RuntimeError(
-                    f"network exceeded {self._max_events} events"
+                    f"network exceeded {max_events} events"
                 )
-            self._now = max(self._now, event.time)
-            if event.kind == "call":
-                assert event.callback is not None
-                event.callback()
+            if time > self._now:
+                self._now = time
+            if dst < 0:
+                src()
                 continue
-            node = self._nodes[event.dst]
-            if self._node_cost > 0.0:
+            node = nodes[dst]
+            if node_cost > 0.0:
                 # Serialize processing on the node: handling starts when
                 # the node is free and occupies it for node_cost.
-                start = max(self._now, self._busy_until.get(event.dst, 0.0))
-                self._busy_until[event.dst] = start + self._node_cost
-                self._now = max(self._now, start)
-            if self.obs.enabled:
-                mtype = type(event.msg).__name__
-                self.obs.metrics.inc(f"tbon.recv.{mtype}")
-                self.obs.metrics.inc("tbon.delivered_total")
-                self.obs.metrics.gauge("tbon.queue_depth").set(
-                    len(self._queue)
-                )
+                start = max(self._now, self._busy_until.get(dst, 0.0))
+                self._busy_until[dst] = start + node_cost
+                self._now = start
+            if obs.enabled:
+                mtype = type(msg).__name__
+                obs.metrics.inc(f"tbon.recv.{mtype}")
+                obs.metrics.inc("tbon.delivered_total")
+                obs.metrics.gauge("tbon.queue_depth").set(len(queue))
                 # A decimated counter track ("tbon.queue") so Perfetto
                 # draws queue pressure over simulated time without one
                 # sample per delivery bloating the artifact.
                 self._deliveries += 1
                 if self._deliveries % _QUEUE_SAMPLE_EVERY == 1:
-                    self.obs.tracer.counter(
+                    obs.tracer.counter(
                         "tbon.queue",
                         ts=self._now * 1e6,
                         pid=PID_TBON,
-                        values={"depth": float(len(self._queue))},
+                        values={"depth": float(len(queue))},
                     )
-                self.obs.tracer.instant(
+                obs.tracer.instant(
                     mtype,
                     cat="tbon.deliver",
                     ts=self._now * 1e6,
                     pid=PID_TBON,
-                    tid=event.dst,
-                    args={"src": event.src},
+                    tid=dst,
+                    args={"src": src},
                 )
-            node.handle(event.msg, self, event.src)
+            node.handle(msg, self, src)
         # The heap drained. A bounded run still owes the caller the
         # full interval: without this, run(until=T) returned the
         # pre-drain clock (the last event's time) whenever the heap

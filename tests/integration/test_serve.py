@@ -178,6 +178,38 @@ def test_queue_backpressure(tmp_path):
     assert not thread.is_alive()
 
 
+def test_cancelled_and_rejected_jobs_release_their_payload(tmp_path):
+    service, thread = start_service(workers=1, queue_limit=1, quota=10)
+    sentinel = str(tmp_path / "release")
+    source = BLOCKING_SOURCE.format(sentinel=sentinel)
+    try:
+        with ServeClient(service.address) as client:
+            running = client.submit(tenant="t", source=source, ranks=1)
+            deadline = time.time() + 10
+            while client.stats()["running"] < 1:
+                assert time.time() < deadline, "worker never started"
+                time.sleep(0.02)
+            queued = client.submit(tenant="t", source=source, ranks=1)
+            with pytest.raises(ServeError):
+                client.submit(tenant="t", source=source, ranks=1)
+            client.cancel(queued)
+            states = {job.id: job.state for job in service.jobs.all()}
+            assert sorted(states.values()) == [
+                "cancelled", "cancelled", "running"
+            ]
+            for job in service.jobs.all():
+                held = job.spec.source is not None
+                assert held == (job.id == running)
+                assert job.status_doc()["spec"] == "program:analyze"
+            (tmp_path / "release").write_text("go")
+            client.result(running, wait=True, timeout=60)
+            assert service.jobs.get(running).spec.source is None
+            client.shutdown()
+    finally:
+        thread.join(30)
+    assert not thread.is_alive()
+
+
 def test_metrics_endpoint_reports_queue_and_tenants(daemon):
     with ServeClient(daemon.address) as client:
         job = client.submit(tenant="alice", workload="fig2a", ranks=2)
@@ -224,6 +256,17 @@ def test_uploaded_program_and_trace_jobs(daemon):
         assert verify_doc["programs"] == {"worker": "deadlock-possible"}
         blame_doc = client.result(blame, wait=True)["result"]
         assert blame_doc["root_causes"] == [0, 1]
+        # Finished jobs drop their upload; every document still answers.
+        assert daemon.jobs.get(trace).spec.trace is None
+        assert daemon.jobs.get(prog).spec.source is None
+        listed = {doc["job"]: doc for doc in client.jobs()["jobs"]}
+        assert listed[trace]["spec"] == "trace:analyze"
+        assert listed[trace]["state"] == "done"
+        assert listed[blame]["spec"] == "program:blame"
+        assert client.status(trace)["state"] == "done"
+        assert (
+            client.result(trace, wait=False)["result"]["deadlocked"] == [0, 1]
+        )
 
 
 def test_recorded_trace_over_64_kib_is_analyzed(daemon, tmp_path, capsys):

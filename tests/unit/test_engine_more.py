@@ -243,3 +243,58 @@ class TestCommCreate:
         assert set(analysis.deadlocked) == {0, 1}
         for cond in analysis.conditions.values():
             assert cond.target_ranks() == {2}
+
+
+class TestCollectiveReleaseOrderPins:
+    """Recorded on eaf19e2, before a parked arrival in a synchronizing
+    wave stopped rescanning every other parked waiter. The wildcard
+    receives record in which order each collective let its ranks go,
+    so the digests cover the schedule, not only the call sequence."""
+
+    PINS = {
+        ("relaxed", 0): "924f08e9e820c972",
+        ("relaxed", 1): "0c2e24e7ecf6d88b",
+        ("relaxed", 2): "c6963d04174e31f1",
+        ("strict", 0): "f2a4d37f8c949d60",
+        ("strict", 1): "4c0cc6fd0f5546a1",
+        ("strict", 2): "88947c55a5bc0167",
+    }
+
+    @staticmethod
+    def _mixed(rank):
+        from repro.mpi.constants import ANY_SOURCE
+
+        kinds = (
+            "bcast", "reduce", "scatter", "barrier", "gather", "allreduce"
+        )
+        for it, name in enumerate(kinds * 2):
+            call = getattr(rank, name)
+            if name in ("barrier", "allreduce"):
+                yield call()
+            else:
+                yield call(root=it % rank.size)
+            if rank.rank == 0:
+                for _ in range(rank.size - 1):
+                    yield rank.recv(source=ANY_SOURCE, tag=it)
+            else:
+                yield rank.send(0, tag=it)
+        yield rank.finalize()
+
+    @pytest.mark.parametrize("semantics,seed", sorted(PINS))
+    def test_traces_are_identical_op_for_op(self, semantics, seed):
+        import hashlib
+
+        run = run_relaxed if semantics == "relaxed" else run_strict
+        result = run([self._mixed] * 8, seed=seed)
+        assert not result.deadlocked
+        trace = result.matched.trace
+        text = repr([
+            [
+                (op.kind.name, op.ts, op.peer, op.tag, op.root, op.request,
+                 op.requests, op.observed_peer, op.observed_tag)
+                for op in trace.sequence(r)
+            ]
+            for r in range(trace.num_processes)
+        ]) + repr(result.steps)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == self.PINS[semantics, seed]

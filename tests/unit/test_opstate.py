@@ -2,7 +2,8 @@
 import pytest
 
 from repro.core.opstate import OpState, RankWindow
-from repro.mpi.constants import OpKind
+from repro.mpi.blocking import BlockingSemantics, is_blocking
+from repro.mpi.constants import PROC_NULL, OpKind
 from repro.mpi.ops import Operation
 from repro.util.errors import ProtocolError, ResourceLimitError
 
@@ -172,3 +173,54 @@ class TestAdvanceErrors:
         w = RankWindow(0)
         with pytest.raises(ProtocolError):
             w.require(3)
+
+
+class TestStrictBlockingTable:
+    """``OpState.is_blocking`` reads Section 3.1's ``b`` from a per-kind
+    table; it must equal the predicate it was derived from, for every
+    kind, with a real and with a ``PROC_NULL`` peer."""
+
+    @staticmethod
+    def _op(kind, peer):
+        return Operation(
+            kind=kind, rank=0, ts=0, peer=peer, request=0, requests=(0,),
+            nbytes=1 << 20,
+        )
+
+    @pytest.mark.parametrize(
+        "kind,peer",
+        [
+            (kind, peer)
+            for kind in OpKind
+            for peer in (1, PROC_NULL, None)
+            if kind is not OpKind.SENDRECV_MARKER
+            and not (peer is None and kind.p2p)  # p2p needs a peer
+        ],
+    )
+    def test_equals_the_strict_predicate(self, kind, peer):
+        op = self._op(kind, peer)
+        expected = is_blocking(op, BlockingSemantics.strict())
+        assert OpState(op=op).is_blocking() is expected
+        if peer != PROC_NULL:
+            assert kind.strict_blocking is expected
+
+    @pytest.mark.parametrize("peer", [1, PROC_NULL])
+    def test_undefined_kinds_keep_raising(self, peer):
+        """No silent table default where ``b`` is undefined."""
+        op = self._op(OpKind.SENDRECV_MARKER, peer)
+        assert OpKind.SENDRECV_MARKER.strict_blocking is None
+        with pytest.raises(ValueError):
+            is_blocking(op, BlockingSemantics.strict())
+        with pytest.raises(ValueError):
+            OpState(op=op).is_blocking()
+
+    def test_proc_null_only_unblocks_p2p(self):
+        barrier = self._op(OpKind.BARRIER, PROC_NULL)
+        assert OpState(op=barrier).is_blocking()
+        assert not OpState(op=self._op(OpKind.RECV, PROC_NULL)).is_blocking()
+
+    def test_completes_locally_is_ibsend_and_irsend(self):
+        local = {
+            k for k in OpKind if OpState(op=self._op(k, 1)).completes_locally()
+        }
+        assert local == {OpKind.IBSEND, OpKind.IRSEND}

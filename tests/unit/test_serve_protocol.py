@@ -180,6 +180,30 @@ class TestWorkerPool:
         assert "unknown workload" in (job.error or "")
         assert pool.drain(timeout=30)
 
+    def test_terminal_jobs_release_their_payload(self):
+        from repro.api import Session
+        from repro.mpi.serialize import matched_trace_to_dict
+        from repro.workloads import fig2a_programs
+
+        matched = Session().record(fig2a_programs()).matched
+        trace = matched_trace_to_dict(matched)
+        pool = WorkerPool(workers=1, queue_limit=4)
+        table = JobTable()
+        done = table.create("t", JobSpec.from_request({"trace": trace}))
+        failed = table.create(
+            "t", JobSpec.from_request({"source": "raise RuntimeError('x')\n"})
+        )
+        for job in (done, failed):
+            assert job.spec.trace is not None or job.spec.source is not None
+            before = job.status_doc()["spec"]
+            pool.submit(job)
+            assert job.done.wait(30)
+            assert job.spec.trace is None and job.spec.source is None
+            assert job.status_doc()["spec"] == before == job.spec.describe()
+        assert done.state == DONE and done.result["deadlocked"] == [0, 1]
+        assert failed.state == FAILED and failed.error
+        assert pool.drain(timeout=30)
+
     def test_drain_is_idempotent_and_leaves_no_threads(self):
         pool = WorkerPool(workers=2, queue_limit=4)
         assert pool.drain(timeout=30)

@@ -158,6 +158,119 @@ class TestNetwork:
         assert sink.received == [(1, 42)]
 
 
+class _Unordered:
+    """A payload that refuses every comparison the heap could try."""
+
+    def _refuse(self, other):
+        raise AssertionError("the event heap compared two payloads")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _refuse
+    __hash__ = object.__hash__
+
+
+class TestEventOrder:
+    """Heap entries are ``(time, seq, ...)`` tuples: order is decided by
+    the first two fields, never by what is delivered."""
+
+    def test_equal_arrivals_on_one_channel_keep_send_order(self):
+        # Shrinking latencies: every later message would overtake, so
+        # the channel front clamps all of them to one instant.
+        latencies = iter([5.0, 4.0, 3.0, 2.0, 1.0])
+        net = Network(lambda src, dst, size: next(latencies))
+        sink = _Recorder(0)
+        net.attach(sink)
+        times = []
+        sink.handle = lambda msg, n, src: times.append((n.now, msg))
+        for i in range(5):
+            net.send(1, 0, i)
+        net.run()
+        assert times == [(5.0, i) for i in range(5)]
+
+    def test_equal_time_payloads_are_never_compared(self):
+        net = Network(fixed_latency(1.0))
+        sinks = [_Recorder(0), _Recorder(1)]
+        for sink in sinks:
+            net.attach(sink)
+        msgs = [_Unordered() for _ in range(6)] + [object(), object()]
+        for i, msg in enumerate(msgs):
+            # Same src, dst and time for half of them: only seq differs.
+            net.send(7, i % 2, msg)
+        net.run()
+        got = [m for _, m in sinks[0].received + sinks[1].received]
+        assert [id(m) for m in got] == [
+            id(m) for m in msgs[0::2] + msgs[1::2]
+        ]
+
+    def test_call_and_delivery_at_one_instant_keep_scheduling_order(self):
+        net = Network(fixed_latency(1.0))
+        order = []
+        sink = _Recorder(0)
+        sink.handle = lambda msg, n, src: order.append(msg)
+        net.attach(sink)
+        net.call_at(1.0, lambda: order.append("call-1"))
+        net.send(3, 0, "msg-1")          # arrives at 1.0 too
+        net.call_at(1.0, lambda: order.append("call-2"))
+        net.send(3, 0, "msg-2")
+        net.run()
+        assert order == ["call-1", "msg-1", "call-2", "msg-2"]
+        assert net.now == 1.0
+
+    def test_negative_node_ids_are_reserved_for_calls(self):
+        with pytest.raises(ValueError):
+            Network().attach(_Recorder(-1))
+
+    def test_peak_queue_is_the_heap_high_water_mark(self):
+        net = Network(fixed_latency(1.0))
+        net.attach(_Recorder(0))
+        assert net.peak_queue == 0
+        for i in range(7):
+            net.send(1, 0, i)
+        net.call_at(0.5, lambda: [net.send(2, 0, "x") for _ in range(3)])
+        net.run()
+        # 7 messages + the call before the first pop; the call's three
+        # sends then find 7 still queued.
+        assert net.peak_queue == 10
+        assert net.idle()
+
+
+class TestHeapStaysSmall:
+    """Injections re-arm one at a time, so the heap holds at most one
+    pending call per rank plus the messages in flight — not the trace."""
+
+    @pytest.mark.parametrize("iterations", [20, 80])
+    def test_stress_heap_is_bounded_by_ranks_not_ops(self, iterations):
+        from repro.core.detector import DistributedDeadlockDetector
+        from repro.workloads import build_stress_trace
+
+        p = 64
+        matched = build_stress_trace(p, iterations)
+        detector = DistributedDeadlockDetector(matched, seed=0)
+        net = detector.net
+        flight = {"now": 0, "peak": 0}
+        send = net.send
+
+        def counting_send(src, dst, msg, size=64):
+            flight["now"] += 1
+            flight["peak"] = max(flight["peak"], flight["now"])
+            send(src, dst, msg, size)
+
+        net.send = counting_send
+        for node in net._nodes.values():
+            def landing(msg, n, src, _handle=node.handle):
+                flight["now"] -= 1
+                _handle(msg, n, src)
+
+            node.handle = landing
+        detector.run()
+        assert flight["now"] == 0
+        total_ops = sum(len(matched.trace.sequence(r)) for r in range(p))
+        assert 0 < net.peak_queue <= p + flight["peak"]
+        # About 7 messages in flight per rank at the default op gap,
+        # however long the trace is.
+        assert net.peak_queue <= 10 * p
+        assert net.peak_queue < total_ops / 4
+
+
 class TestWaveAggregator:
     def test_emits_exactly_once_at_threshold(self):
         agg = WaveAggregator()

@@ -1,13 +1,21 @@
 """Interior/root node behaviour and protocol error paths."""
 import pytest
 
+from repro.core.distributed import FirstLayerNode
 from repro.core.messages import (
     AckConsistentState,
     CollectiveAck,
     CollectiveReady,
     CollectiveWait,
+    NewOpMsg,
     P2PWait,
+    PassSend,
+    Ping,
+    Pong,
+    RankDoneMsg,
     RankWaitInfo,
+    RecvActive,
+    RecvActiveAck,
     RequestConsistentState,
     RequestWaits,
     WaitInfoMsg,
@@ -15,6 +23,7 @@ from repro.core.messages import (
 from repro.core.treenodes import InteriorNode, RootNode
 from repro.mpi.communicator import CommRegistry
 from repro.mpi.constants import OpKind
+from repro.mpi.ops import Operation
 from repro.tbon.network import Network, fixed_latency
 from repro.tbon.topology import TbonTopology
 from repro.util.errors import ProtocolError
@@ -196,3 +205,49 @@ class TestRootProtocol:
         cond = conditions[0]
         assert len(cond.clauses) == 1  # one flattened OR clause
         assert {t.rank for t in cond.clauses[0]} == {1, 2, 3}
+
+
+class TestFirstLayerDispatch:
+    """``FirstLayerNode.handle`` is one table lookup on the message
+    type: same errors and same per-type ``stats`` as the old chain."""
+
+    def _node(self):
+        topo = TbonTopology.build(4, 2)  # first layer 4, 5; root 6
+        node = FirstLayerNode(topo.first_layer[0], topo, CommRegistry(4))
+        net = Network(fixed_latency())
+        sinks = [_Sink(topo.first_layer[1]), _Sink(topo.root)]
+        for attached in (node, *sinks):
+            net.attach(attached)
+        return topo, node, net, sinks
+
+    def test_unknown_message_type_is_a_protocol_error(self):
+        topo, node, net, _ = self._node()
+        for alien in ("garbage", AckConsistentState(0), object()):
+            with pytest.raises(ProtocolError) as excinfo:
+                node.handle(alien, net, src=topo.root)
+            assert type(alien).__name__ in str(excinfo.value)
+            assert f"node {node.node_id}" in str(excinfo.value)
+
+    def test_stats_count_every_message_by_type_name(self):
+        topo, node, net, (peer, root) = self._node()
+        barrier = Operation(kind=OpKind.BARRIER, rank=0, ts=0)
+        node.handle(NewOpMsg(barrier), net, src=0)
+        node.handle(RankDoneMsg(1), net, src=1)
+        node.handle(Ping(7, 1), net, src=peer.node_id)
+        node.handle(Ping(7, 0), net, src=peer.node_id)
+        with pytest.raises(ProtocolError):
+            node.handle("garbage", net, src=0)
+        assert node.stats == {
+            "NewOpMsg": 1, "RankDoneMsg": 1, "Ping": 2, "str": 1
+        }
+        net.run()
+        # Pings are answered to their sender with the same counters.
+        assert [m for _, m in peer.received] == [Pong(7, 1), Pong(7, 0)]
+        assert node.windows[1].done and not node.windows[0].done
+
+    def test_every_first_layer_message_type_has_a_handler(self):
+        handled = set(FirstLayerNode._HANDLERS)
+        assert handled == {
+            NewOpMsg, RankDoneMsg, PassSend, RecvActive, RecvActiveAck,
+            CollectiveAck, RequestConsistentState, Ping, Pong, RequestWaits,
+        }
