@@ -7,14 +7,19 @@ interleavings while the reduced search walks (close to) a single
 chain — the reduction that makes `repro verify` usable beyond toy
 scales.
 
-Two cells, both measured on state counts (fully deterministic — no
+Three cells, all measured on state counts (fully deterministic — no
 timers involved, so no noise methodology is needed):
 
 * **ping-pong pairs** (6 ranks, 3 rounds): independent directed pairs,
   the reduction's best case and the trajectory's scored claim;
-* **wildcard stress** (4 ranks, 2 rounds): wildcard receives force the
-  explorer to keep real branching, so this cell documents the honest,
-  smaller win on the hard fragment.
+* **wildcard stress** (4 ranks, 2 rounds): the same pairs with the odd
+  rank receiving via ``MPI_ANY_SOURCE``. Each wildcard has exactly one
+  possible sender, so there is no race and no branching: the reduced
+  search treats it as directed and walks one chain here too;
+* **wildcard groups** (3 groups of a master and two workers): real
+  races — either worker may match either wildcard receive — in groups
+  that never talk to each other. The naive search is the product of
+  the groups (25 states each), the reduced search their sum.
 
 Scored claim: naive/POR states ratio >= 5x on the ping-pong cell
 (measured well above that; the floor leaves room for explorer-ordering
@@ -23,6 +28,7 @@ tweaks without masking a real regression).
 from repro.analysis import explore_extraction, extract_programs
 from repro.workloads import (
     ping_pong_pairs_programs,
+    wildcard_groups_programs,
     wildcard_stress_programs,
 )
 
@@ -30,7 +36,7 @@ from _util import fmt_table, write_result
 
 #: Scored reduction floor on the ping-pong cell.
 REDUCTION_FLOOR = 5.0
-#: State bound for the naive searches (both converge far below it).
+#: State bound for the naive searches (all converge far below it).
 MAX_STATES = 300_000
 
 
@@ -60,6 +66,9 @@ def main() -> int:
         ),
         "wildcard_stress": _cell(
             "wildcard_stress", wildcard_stress_programs(4, rounds=2)
+        ),
+        "wildcard_groups": _cell(
+            "wildcard_groups", wildcard_groups_programs(3)
         ),
     }
     rows = [

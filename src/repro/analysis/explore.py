@@ -40,12 +40,23 @@ derivable and deliberately not stored. Every transition strictly
 increases ``sum(2*pc + parked)``, so the graph is acyclic and the
 visited-set prune is sound for deadlock reachability.
 
-Partial-order reduction: when some rank has a single enabled
-transition that is *safe* — commutes with every other enabled
-transition and cannot change any future wildcard candidate set — only
-that transition is explored (a singleton ample set). This collapses
-the Fig. 10 wildcard storm from exponential to near-linear while
-preserving every reachable deadlock.
+Partial-order reduction, derived from one static may-send table
+(``senders[(comm, dst)]``, :meth:`_Model.build_por_tables`):
+
+* when some rank has a single enabled transition that is *safe* —
+  commutes with every other enabled transition and cannot change any
+  future wildcard candidate set — only that transition is explored (a
+  singleton ample set). A wildcard receive with at most one possible
+  sender counts as directed, so it and the sends into it are safe;
+* otherwise only the enabled transitions of one communication-closed
+  rank cluster are explored (a persistent set): clusters that never
+  exchange a message or share a collective are searched one after
+  another, their state counts adding instead of multiplying.
+
+This collapses the Fig. 10 wildcard storm and single-sender wildcard
+programs to a chain while preserving every reachable deadlock; what
+stays exponential is one cluster with two or more live senders into a
+wildcard (DESIGN §10).
 """
 from __future__ import annotations
 
@@ -235,23 +246,6 @@ class _Model:
             )
             self.finalize_ts.append(ts)
 
-        # POR tables: destinations observed by a wildcard receive or
-        # probe anywhere, and channels with at least one sender.
-        self.wildcard_dst: Set[Tuple[int, int]] = set()
-        self.has_senders: Set[Tuple[int, int]] = set()
-        for r, seq in enumerate(self.seqs):
-            for op in seq:
-                if (
-                    (is_recv_kind(op.kind) or op.is_probe())
-                    and op.peer == ANY_SOURCE
-                ):
-                    self.wildcard_dst.add((op.comm_id, r))
-                if is_send_kind(op.kind) and op.peer not in (
-                    PROC_NULL,
-                    None,
-                ):
-                    self.has_senders.add((op.comm_id, op.peer))
-
     def _check_waves(self) -> None:
         """Reject what the engine rejects as collective usage errors."""
         for (comm_id, idx), members in self.wave_members.items():
@@ -297,7 +291,7 @@ class _Model:
     def _recv_candidates(
         self,
         op: Operation,
-        inflight: FrozenSet[OpRef] | Set[OpRef],
+        inflight: FrozenSet[OpRef],
     ) -> List[Operation]:
         """Per-sender earliest compatible message, sorted by sender."""
         per_sender: Dict[int, Operation] = {}
@@ -317,7 +311,7 @@ class _Model:
     def _forced_recv(
         self,
         sop: Operation,
-        pending: Set[OpRef],
+        pending: FrozenSet[OpRef],
     ) -> Optional[Operation]:
         """The receive a newly arrived message pairs with (earliest
         compatible posted receive, in post order), or None."""
@@ -337,7 +331,7 @@ class _Model:
     def _probe_sees_message(
         self,
         op: Operation,
-        inflight: FrozenSet[OpRef] | Set[OpRef],
+        inflight: FrozenSet[OpRef],
     ) -> bool:
         for ref in inflight:
             sop = self.seqs[ref[0]][ref[1]]
@@ -376,6 +370,62 @@ class _Model:
 
     # -- partial-order reduction ------------------------------------------
 
+    def build_por_tables(self) -> None:
+        """The static may-send relation the reduction is derived from.
+
+        ``senders[(comm, dst)]`` is every rank with any send to ``dst``
+        on ``comm`` anywhere in its program. Two tables follow from it:
+
+        * ``wildcard_dst`` — destinations that post a wildcard receive
+          or probe *and* have more than one possible sender. With at
+          most one, every candidate set is a subset of one FIFO
+          channel, so the wildcard is a directed receive in all but
+          spelling.
+        * ``cluster[r]`` — the smallest rank of ``r``'s communication-
+          closed cluster: ranks joined with their point-to-point peers
+          and with the whole group of every communicator they call a
+          collective on. Each possible sender of a wildcard is already
+          joined by its own send. ``MPI_Finalize`` joins nobody — its
+          arrival is a safe singleton, so it is never left to a
+          persistent set.
+
+        Whole programs, not suffixes: an over-approximated relation
+        only merges clusters or keeps a wildcard unsafe, which costs
+        states and never a verdict.
+        """
+        senders: Dict[Tuple[int, int], Set[int]] = {}
+        wildcards: Set[Tuple[int, int]] = set()
+        root = list(range(self.p))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        def union(a: int, b: int) -> None:
+            a, b = find(a), find(b)
+            root[max(a, b)] = min(a, b)
+
+        for r, seq in enumerate(self.seqs):
+            for op in seq:
+                if is_collective_kind(op.kind):
+                    for m in self.comms.get(op.comm_id).group:
+                        union(r, m)
+                elif op.is_p2p() and op.peer is not None:
+                    if op.peer == ANY_SOURCE:
+                        wildcards.add((op.comm_id, r))
+                    elif 0 <= op.peer < self.p:  # not PROC_NULL
+                        union(r, op.peer)
+                        if is_send_kind(op.kind):
+                            senders.setdefault(
+                                (op.comm_id, op.peer), set()
+                            ).add(r)
+        self.senders = senders
+        self.wildcard_dst = {
+            key for key in wildcards if len(senders.get(key, ())) > 1
+        }
+        self.cluster = [find(r) for r in range(self.p)]
+
     def is_safe(self, state: _State, t: _Transition) -> bool:
         """Safe = effect-deterministic, commutes with every other
         enabled transition, and cannot change a future wildcard (or
@@ -396,20 +446,22 @@ class _Model:
             # Arrival only enables; wave completion is deterministic.
             return True
         if is_send_kind(kind):
-            # Adding a message to a channel nobody wildcards on cannot
-            # change any candidate set; directed receives/probes at the
-            # destination are FIFO-deterministic regardless of timing.
+            # Adding a message where no wildcard has a second possible
+            # sender cannot change any candidate set; receives/probes
+            # fed by one FIFO channel are deterministic regardless of
+            # timing.
             return (op.comm_id, op.peer) not in self.wildcard_dst
         if is_recv_kind(kind):
-            if op.peer != ANY_SOURCE:
-                # Directed receive: the message it takes is fixed by
-                # per-sender FIFO, and nobody else can take it (only
-                # this rank receives/probes on its own queues, in
-                # program order).
-                return True
-            # A wildcard receive on a channel without any sender can
-            # only pend — the Fig. 10 storm collapses to linear here.
-            return (op.comm_id, op.rank) not in self.has_senders
+            # The message a directed receive takes is fixed by
+            # per-sender FIFO, and nobody else can take it (only this
+            # rank receives/probes on its own queues, in program
+            # order). A wildcard with at most one possible sender is
+            # the same receive; with none it can only pend — the
+            # Fig. 10 storm collapses to linear here.
+            return (
+                op.peer != ANY_SOURCE
+                or (op.comm_id, op.rank) not in self.wildcard_dst
+            )
         # PROBE (message could be stealable before execution), TEST*,
         # WAITANY, WAITSOME: timing-dependent.
         return False
@@ -424,9 +476,11 @@ class _Model:
         pinnings recorded by matches along the way."""
         pcs = list(state.pcs)
         posted = list(state.posted)
-        inflight = set(state.inflight)
-        pending = set(state.pending)
-        consumed = [set(c) for c in state.consumed]
+        # Shared with ``state`` until the op at hand changes them: most
+        # transitions touch none of the three.
+        inflight = state.inflight
+        pending = state.pending
+        consumed = state.consumed
         pins: List[Tuple[OpRef, int]] = []
         seqs = self.seqs
 
@@ -451,6 +505,12 @@ class _Model:
                 return creator.ref not in inflight
             return creator.ref not in pending
 
+        def consume(k: int, reqs: Sequence[int]) -> None:
+            nonlocal consumed
+            consumed = (
+                consumed[:k] + (consumed[k].union(reqs),) + consumed[k + 1:]
+            )
+
         def try_completion(k: int, wop: Operation) -> bool:
             """Engine ``_try_completion``: consume + advance on success."""
             reqs = list(wop.requests)
@@ -471,20 +531,19 @@ class _Model:
             ):
                 if len(done_idx) != len(reqs):
                     return False
-                consumed[k].update(reqs)
+                consume(k, reqs)
                 advance(k)
                 return True
             if kind in (OpKind.WAITANY, OpKind.TESTANY):
                 if not done_idx:
                     return False
-                consumed[k].add(reqs[done_idx[0]])
+                consume(k, (reqs[done_idx[0]],))
                 advance(k)
                 return True
             if kind in (OpKind.WAITSOME, OpKind.TESTSOME):
                 if not done_idx:
                     return False
-                for i in done_idx:
-                    consumed[k].add(reqs[i])
+                consume(k, [reqs[i] for i in done_idx])
                 advance(k)
                 return True
             raise AssertionError(kind)
@@ -551,11 +610,11 @@ class _Model:
         elif is_send_kind(kind):
             rop = self._forced_recv(op, pending)
             if rop is not None:
-                pending.discard(rop.ref)
+                pending = pending - {rop.ref}
                 advance(r)  # matched: call/request completes at post
                 recv_side_completed(rop, r)
             else:
-                inflight.add(op.ref)
+                inflight = inflight | {op.ref}
                 if kind in _RENDEZVOUS_BLOCKING_SENDS:
                     posted[r] = True  # strict b: park until matched
                 else:
@@ -564,13 +623,13 @@ class _Model:
         elif is_recv_kind(kind):
             if t.cand is not None:
                 sop = seqs[t.cand[0]][t.cand[1]]
-                inflight.discard(t.cand)
+                inflight = inflight - {t.cand}
                 if op.peer == ANY_SOURCE:
                     pins.append((op.ref, sop.rank))
                 advance(r)
                 send_side_completed(sop)
             else:
-                pending.add(op.ref)
+                pending = pending | {op.ref}
                 if kind is OpKind.RECV:
                     posted[r] = True
                 else:
@@ -622,9 +681,9 @@ class _Model:
         new_state = _State(
             pcs=tuple(pcs),
             posted=tuple(posted),
-            inflight=frozenset(inflight),
-            pending=frozenset(pending),
-            consumed=tuple(frozenset(c) for c in consumed),
+            inflight=inflight,
+            pending=pending,
+            consumed=consumed,
         )
         return new_state, pins
 
@@ -785,6 +844,8 @@ def explore_sequences(
     enumeration (used by the POR soundness/ratio tests).
     """
     model = _Model(sequences, comms)
+    if por:
+        model.build_por_tables()
     stats = ExploreStats()
 
     def finish(
@@ -804,7 +865,12 @@ def explore_sequences(
             if per_rank[t.rank] == 1 and model.is_safe(state, t):
                 stats.states_pruned += len(ts) - 1
                 return [t]
-        return ts
+        # Persistent set: nothing outside a cluster can enable, disable
+        # or fail to commute with a transition inside it.
+        first = model.cluster[ts[0].rank]
+        kept = [t for t in ts if model.cluster[t.rank] == first]
+        stats.states_pruned += len(ts) - len(kept)
+        return kept
 
     root = model.initial_state()
     visited: Set[_State] = {root}

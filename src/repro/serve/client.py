@@ -17,7 +17,8 @@ from repro.util.errors import ReproError
 
 
 class ServeError(ReproError):
-    """An ``ok: false`` response from the daemon."""
+    """An ``ok: false`` response from the daemon, or the connection
+    closing before one arrived (code ``connection-closed``)."""
 
     def __init__(self, error: Dict[str, Any]) -> None:
         super().__init__(error.get("message", "request failed"))
@@ -59,7 +60,10 @@ class ServeClient:
         line = self._file.readline()
         if not line:
             raise ServeError(
-                {"code": "bad-request", "message": "connection closed"}
+                {
+                    "code": "connection-closed",
+                    "message": "connection closed before the reply",
+                }
             )
         return protocol.parse_envelope(line.decode("utf-8").strip())
 

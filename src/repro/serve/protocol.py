@@ -42,8 +42,18 @@ OPS = (
 
 #: Error codes and whether a client should retry them later.
 RETRYABLE_CODES = frozenset({"over-quota", "queue-full", "draining"})
+#: ``connection-closed`` is raised by the client, never sent: the peer
+#: went away before answering, so the request may or may not have been
+#: admitted and a blind retry could run it twice.
 FATAL_CODES = frozenset(
-    {"bad-request", "unknown-op", "not-found", "not-done", "job-failed"}
+    {
+        "bad-request",
+        "unknown-op",
+        "not-found",
+        "not-done",
+        "job-failed",
+        "connection-closed",
+    }
 )
 ERROR_CODES = RETRYABLE_CODES | FATAL_CODES
 

@@ -42,6 +42,7 @@ from repro.workloads.wildcard import (
     build_wildcard_trace,
     ping_pong_pairs_programs,
     wildcard_deadlock_programs,
+    wildcard_groups_programs,
     wildcard_master_worker_programs,
     wildcard_stress_programs,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "waitall_deadlock_programs",
     "waitany_survivor_programs",
     "wildcard_deadlock_programs",
+    "wildcard_groups_programs",
     "wildcard_master_worker_programs",
     "wildcard_stress_programs",
 ]

@@ -54,13 +54,15 @@ def wildcard_master_worker_programs() -> List[RankProgram]:
 
 
 def wildcard_stress_programs(p: int, rounds: int = 3) -> List[RankProgram]:
-    """Fig. 10-style wildcard stress, deadlock-free variant.
+    """Wildcard-spelled pair ping-pong, deadlock-free and race-free.
 
     Ranks pair up (0,1), (2,3), …; each pair ping-pongs ``rounds``
-    times with the odd rank receiving via ``MPI_ANY_SOURCE``. Every
-    matching completes, so proving deadlock freedom requires visiting
-    the whole interleaving space — the partial-order reduction
-    benchmark workload (its counters back the >=5x claim).
+    times with the odd rank receiving via ``MPI_ANY_SOURCE``. Only its
+    partner ever sends to an odd rank, so each wildcard has exactly
+    one possible sender and no matching is ever in doubt: the naive
+    search is the product of the pairs' interleavings (22 states per
+    pair at ``rounds=3``), the reduced search one chain (14 states per
+    pair). For real races see :func:`wildcard_groups_programs`.
     """
     if p < 2 or p % 2:
         raise ValueError("need a positive even rank count")
@@ -80,6 +82,31 @@ def wildcard_stress_programs(p: int, rounds: int = 3) -> List[RankProgram]:
         yield rank.finalize()
 
     return [even if i % 2 == 0 else odd for i in range(p)]
+
+
+def wildcard_groups_programs(k: int) -> List[RankProgram]:
+    """``k`` independent master/two-worker groups, deadlock-free.
+
+    Ranks ``3g, 3g+1, 3g+2`` form group ``g``: the master posts two
+    ``MPI_ANY_SOURCE`` receives and each worker sends it one message,
+    so every group holds a real race (either worker may match first)
+    and no message crosses groups. The naive search is the product of
+    the groups (25 states each); exploring one group after another is
+    their sum.
+    """
+    if k < 1:
+        raise ValueError("need at least one group")
+
+    def master(rank: Rank) -> Iterator[Call]:
+        yield rank.recv(source=ANY_SOURCE, tag=0)
+        yield rank.recv(source=ANY_SOURCE, tag=0)
+        yield rank.finalize()
+
+    def worker(rank: Rank) -> Iterator[Call]:
+        yield rank.send(rank.rank - rank.rank % 3, tag=0)
+        yield rank.finalize()
+
+    return [master if i % 3 == 0 else worker for i in range(3 * k)]
 
 
 def ping_pong_pairs_programs(p: int, rounds: int = 3) -> List[RankProgram]:

@@ -354,12 +354,13 @@ def test_drain_rejects_new_work_and_leaves_no_workers():
         job = client.submit(tenant="d", workload="fig2a", ranks=2)
         client.result(job, wait=True, timeout=60)
         client.shutdown()
-        # a submit racing the drain gets the retryable draining error
+        # a submit racing the drain gets the retryable draining error,
+        # unless the drain closes the socket before answering it
         try:
             client.submit(tenant="d", workload="fig2a", ranks=2)
         except ServeError as exc:
-            assert exc.code == "draining"
-            assert exc.retryable
+            assert exc.code in ("draining", "connection-closed")
+            assert exc.retryable == (exc.code == "draining")
         except Exception:
             pass  # listener may already be gone
     thread.join(30)

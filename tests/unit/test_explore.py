@@ -11,7 +11,9 @@ from repro.analysis import (
 from repro.mpi.constants import ANY_SOURCE
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import (
+    ping_pong_pairs_programs,
     wildcard_deadlock_programs,
+    wildcard_groups_programs,
     wildcard_master_worker_programs,
     wildcard_stress_programs,
 )
@@ -136,6 +138,25 @@ class TestDeterminism:
         result = _explore(wildcard_stress_programs(4, rounds=2), por=False)
         assert result.verdict is Verdict.DEADLOCK_FREE
         assert result.stats.memo_hits > 0
+
+    @pytest.mark.parametrize(
+        "programs, states, transitions, memo_hits",
+        [
+            (wildcard_stress_programs(4, rounds=2), 256, 640, 385),
+            (ping_pong_pairs_programs(6, rounds=3), 10_648, 40_656, 30_009),
+            (wildcard_groups_programs(3), 15_625, 84_375, 68_751),
+        ],
+    )
+    def test_naive_counters_are_pinned(
+        self, programs, states, transitions, memo_hits
+    ):
+        # Successor states share whatever a transition left untouched
+        # with their parent; keys must still compare value for value,
+        # or these counts (recorded before the sharing) move.
+        stats = _explore(programs, por=False).stats
+        assert stats.states_explored == states
+        assert stats.transitions == transitions
+        assert stats.memo_hits == memo_hits
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The serve building blocks in isolation: envelope codec, job specs,
 tenant quotas, and the worker pool."""
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.serve import protocol
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import (
     DONE,
     FAILED,
@@ -64,6 +67,33 @@ class TestEnvelopes:
     def test_unknown_error_code_is_a_programming_error(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.make_error("c1", "teapot", "short and stout")
+
+
+class TestClient:
+    def test_peer_closing_mid_request_is_connection_closed(self):
+        # The peer reads the request and hangs up without answering:
+        # the client cannot know whether the request was admitted, so
+        # this is its own fatal code, not the caller's bad-request.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def hang_up():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as lines:
+                lines.readline()
+
+        peer = threading.Thread(target=hang_up)
+        peer.start()
+        try:
+            with ServeClient(listener.getsockname(), timeout=10) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.ping()
+        finally:
+            peer.join(10)
+            listener.close()
+        assert not peer.is_alive()
+        assert excinfo.value.code == "connection-closed"
+        assert not excinfo.value.retryable
+        assert "connection-closed" in protocol.FATAL_CODES
 
 
 class TestJobSpec:
