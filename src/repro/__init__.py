@@ -35,32 +35,34 @@ their home modules (``repro.runtime.run_programs``,
 ``repro.core.analyze_trace``,
 ``repro.core.detect_deadlocks_distributed``) for internal use.
 """
-from repro.api import AnalysisConfig, Session
-from repro.backend import (
-    AnalysisBackend,
-    InlineBackend,
-    ShardedBackend,
-    make_backend,
-)
-from repro.core import (
-    AdaptiveAnalysis,
-    Verdict,
-    analyze_with_adaptation,
-    DeadlockAnalysis,
-    DistributedDeadlockDetector,
-    DistributedOutcome,
-    TransitionSystem,
-)
-from repro.mpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    PROC_NULL,
-    BlockingSemantics,
-    MatchedTrace,
-    OpKind,
-    Trace,
-)
-from repro.runtime import Rank, RunResult
+from typing import TYPE_CHECKING
+
+from repro.util.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.api import AnalysisConfig, Session
+    from repro.backend.base import (
+        AnalysisBackend,
+        InlineBackend,
+        make_backend,
+    )
+    from repro.backend.sharded import ShardedBackend
+    from repro.core.adaptation import (
+        AdaptiveAnalysis,
+        Verdict,
+        analyze_with_adaptation,
+    )
+    from repro.core.detector import (
+        DistributedDeadlockDetector,
+        DistributedOutcome,
+    )
+    from repro.core.transition import TransitionSystem
+    from repro.core.waitstate import DeadlockAnalysis
+    from repro.mpi.blocking import BlockingSemantics
+    from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, OpKind
+    from repro.mpi.trace import MatchedTrace, Trace
+    from repro.runtime.engine import RunResult
+    from repro.runtime.program import Rank
 
 __version__ = "1.2.0"
 
@@ -81,6 +83,32 @@ _REMOVED_LEGACY = {
     ),
 }
 
+_lazy_getattr, __dir__, __all__ = lazy_exports(globals(), {
+    "AnalysisConfig": "repro.api",
+    "Session": "repro.api",
+    "AnalysisBackend": "repro.backend.base",
+    "InlineBackend": "repro.backend.base",
+    "make_backend": "repro.backend.base",
+    "ShardedBackend": "repro.backend.sharded",
+    "AdaptiveAnalysis": "repro.core.adaptation",
+    "Verdict": "repro.core.adaptation",
+    "analyze_with_adaptation": "repro.core.adaptation",
+    "DistributedDeadlockDetector": "repro.core.detector",
+    "DistributedOutcome": "repro.core.detector",
+    "TransitionSystem": "repro.core.transition",
+    "DeadlockAnalysis": "repro.core.waitstate",
+    "BlockingSemantics": "repro.mpi.blocking",
+    "ANY_SOURCE": "repro.mpi.constants",
+    "ANY_TAG": "repro.mpi.constants",
+    "PROC_NULL": "repro.mpi.constants",
+    "OpKind": "repro.mpi.constants",
+    "MatchedTrace": "repro.mpi.trace",
+    "Trace": "repro.mpi.trace",
+    "RunResult": "repro.runtime.engine",
+    "Rank": "repro.runtime.program",
+})
+__all__.append("__version__")
+
 
 def __getattr__(name: str):
     if name in _REMOVED_LEGACY:
@@ -88,31 +116,4 @@ def __getattr__(name: str):
             f"repro.{name} was removed in 1.2 (deprecated since 1.1); "
             f"use {_REMOVED_LEGACY[name]}"
         )
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-__all__ = [
-    "ANY_SOURCE",
-    "AdaptiveAnalysis",
-    "AnalysisBackend",
-    "AnalysisConfig",
-    "Verdict",
-    "analyze_with_adaptation",
-    "ANY_TAG",
-    "PROC_NULL",
-    "BlockingSemantics",
-    "DeadlockAnalysis",
-    "DistributedDeadlockDetector",
-    "DistributedOutcome",
-    "InlineBackend",
-    "MatchedTrace",
-    "OpKind",
-    "Rank",
-    "RunResult",
-    "Session",
-    "ShardedBackend",
-    "Trace",
-    "TransitionSystem",
-    "make_backend",
-    "__version__",
-]
+    return _lazy_getattr(name)

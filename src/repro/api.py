@@ -30,7 +30,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple, Union
 
-from repro.backend import AnalysisBackend, DEFAULT_SHARDS, make_backend
+from repro.backend.base import AnalysisBackend, DEFAULT_SHARDS, make_backend
 from repro.core.detector import DistributedOutcome
 from repro.mpi.blocking import BlockingSemantics
 from repro.mpi.trace import MatchedTrace

@@ -20,7 +20,7 @@ observability events.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.detector import (
     DistributedDeadlockDetector,
@@ -28,9 +28,11 @@ from repro.core.detector import (
 )
 from repro.mpi.trace import MatchedTrace
 from repro.obs.flight import FlightRecorder
-from repro.obs.live import LiveMonitor
 from repro.obs.observer import Observer
 from repro.tbon.network import LatencyModel
+
+if TYPE_CHECKING:
+    from repro.obs.live import LiveMonitor
 
 #: Default shard count for the sharded backend.
 DEFAULT_SHARDS = 2

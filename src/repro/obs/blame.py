@@ -117,7 +117,7 @@ def blame_programs(
     ``backend`` is an :class:`repro.backend.AnalysisBackend` (default:
     the inline one); either backend yields the same blame roots.
     """
-    from repro.backend import InlineBackend
+    from repro.backend.base import InlineBackend
     from repro.mpi.blocking import BlockingSemantics
     from repro.runtime.engine import run_programs
 

@@ -18,7 +18,8 @@ Its two products are exactly what the deadlock-detection tool consumes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import Sequence, Tuple
 
 from repro.mpi.blocking import BlockingSemantics
 from repro.mpi.communicator import CommRegistry
@@ -33,12 +34,14 @@ from repro.mpi.ops import Operation, OpRef
 from repro.mpi.trace import CollectiveMatch, MatchedTrace, PendingCollective, Trace
 from repro.obs.events import PID_ENGINE
 from repro.obs.flight import FlightRecorder
-from repro.obs.live import LiveMonitor
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.runtime.matchstate import CollectiveWave, MatchState, PendingSend
 from repro.runtime.program import Call, Rank, Status
 from repro.runtime.scheduler import Scheduler
 from repro.util.errors import MpiUsageError, ProtocolError, ReproError
+
+if TYPE_CHECKING:
+    from repro.obs.live import LiveMonitor
 
 #: A rank program: generator function taking a :class:`Rank` handle.
 RankProgram = Callable[[Rank], Iterator[Call]]

@@ -17,47 +17,52 @@ Layering::
     service.py    the asyncio daemon: router, drain, telemetry
     client.py     blocking socket client (repro submit / repro jobs)
 """
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.jobs import Job, JobError, JobSpec, JobTable
-from repro.serve.pool import PoolDraining, QueueFull, WorkerPool
-from repro.serve.protocol import (
-    OPS,
-    ProtocolError,
-    SERVE_FORMAT,
-    make_error,
-    make_event,
-    make_request,
-    make_response,
-    parse_envelope,
-)
-from repro.serve.quotas import QuotaExceeded, TenantQuotas
-from repro.serve.service import (
-    ReproService,
-    ServeSettings,
-    serve_forever,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Job",
-    "JobError",
-    "JobSpec",
-    "JobTable",
-    "OPS",
-    "PoolDraining",
-    "ProtocolError",
-    "QueueFull",
-    "QuotaExceeded",
-    "ReproService",
-    "SERVE_FORMAT",
-    "ServeClient",
-    "ServeError",
-    "ServeSettings",
-    "TenantQuotas",
-    "WorkerPool",
-    "make_error",
-    "make_event",
-    "make_request",
-    "make_response",
-    "parse_envelope",
-    "serve_forever",
-]
+from repro.util.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.client import ServeClient, ServeError
+    from repro.serve.jobs import Job, JobError, JobSpec, JobTable
+    from repro.serve.pool import PoolDraining, QueueFull, WorkerPool
+    from repro.serve.protocol import (
+        OPS,
+        ProtocolError,
+        SERVE_FORMAT,
+        make_error,
+        make_event,
+        make_request,
+        make_response,
+        parse_envelope,
+    )
+    from repro.serve.quotas import QuotaExceeded, TenantQuotas
+    from repro.serve.service import (
+        ReproService,
+        ServeSettings,
+        serve_forever,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ServeClient": "repro.serve.client",
+    "ServeError": "repro.serve.client",
+    "Job": "repro.serve.jobs",
+    "JobError": "repro.serve.jobs",
+    "JobSpec": "repro.serve.jobs",
+    "JobTable": "repro.serve.jobs",
+    "PoolDraining": "repro.serve.pool",
+    "QueueFull": "repro.serve.pool",
+    "WorkerPool": "repro.serve.pool",
+    "OPS": "repro.serve.protocol",
+    "ProtocolError": "repro.serve.protocol",
+    "SERVE_FORMAT": "repro.serve.protocol",
+    "make_error": "repro.serve.protocol",
+    "make_event": "repro.serve.protocol",
+    "make_request": "repro.serve.protocol",
+    "make_response": "repro.serve.protocol",
+    "parse_envelope": "repro.serve.protocol",
+    "QuotaExceeded": "repro.serve.quotas",
+    "TenantQuotas": "repro.serve.quotas",
+    "ReproService": "repro.serve.service",
+    "ServeSettings": "repro.serve.service",
+    "serve_forever": "repro.serve.service",
+})

@@ -17,6 +17,15 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
+# Everything a job runs loads with this module, when the daemon starts
+# and before it listens: ``Session.verify``/``.blame`` and the workload
+# table import their analyses on first use, and that import would
+# otherwise sit inside the first job of each kind, on a worker thread.
+import repro.analysis  # noqa: F401
+import repro.workloads  # noqa: F401
+from repro.cli.common import _workloads
+from repro.mpi.serialize import matched_trace_from_dict
+from repro.obs.blame import blame_document, load_programs
 from repro.util.errors import ReproError
 
 #: Job lifecycle states.
@@ -34,15 +43,6 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 class JobError(ReproError):
     """A job spec the service cannot execute."""
-
-
-def _workload_registry() -> Dict[str, Callable[[int], list]]:
-    # The CLI owns the canonical name -> programs mapping; the lazy
-    # import keeps repro.serve importable without pulling argparse
-    # machinery until a workload job actually runs.
-    from repro.cli import _workloads
-
-    return _workloads()
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,6 @@ def _outcome_doc(outcome: Any) -> Dict[str, Any]:
 
 
 def _run_program_source(session: Any, spec: JobSpec) -> Dict[str, Any]:
-    from repro.obs.blame import blame_document, load_programs
-
     with tempfile.NamedTemporaryFile(
         "w", suffix=".py", prefix="repro_serve_", encoding="utf-8"
     ) as handle:
@@ -249,7 +247,7 @@ def execute_job(session: Any, job: Job) -> Dict[str, Any]:
 
 def _execute_spec(session: Any, spec: JobSpec) -> Dict[str, Any]:
     if spec.kind == "workload":
-        registry = _workload_registry()
+        registry = _workloads()
         build = registry.get(spec.workload or "")
         if build is None:
             raise JobError(
@@ -260,8 +258,6 @@ def _execute_spec(session: Any, spec: JobSpec) -> Dict[str, Any]:
     if spec.kind == "program":
         return _run_program_source(session, spec)
     if spec.kind == "trace":
-        from repro.mpi.serialize import matched_trace_from_dict
-
         matched = matched_trace_from_dict(dict(spec.trace or {}))
         return _outcome_doc(session.analyze(matched))
     raise JobError(f"unknown job kind {spec.kind!r}")

@@ -26,6 +26,12 @@ from repro.util.errors import ReproError
 
 SERVE_FORMAT = format_tag("serve")
 
+#: Longest request line a connection may send. An uploaded trace is one
+#: line: a recorded stress ring costs about 8 KB per rank, so asyncio's
+#: 64 KiB default refused anything over 7 ranks; this admits thousands.
+#: A longer line is answered with a fatal ``bad-request`` under id ``-``.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
 #: Operations the service dispatches.
 OPS = (
     "submit",

@@ -37,6 +37,7 @@ from repro.serve.jobs import (
     TERMINAL_STATES,
 )
 from repro.serve.pool import PoolDraining, QueueFull, WorkerPool
+from repro.serve.protocol import MAX_REQUEST_BYTES
 from repro.serve.quotas import QuotaExceeded, TenantQuotas
 
 #: Retry hint clients get while the daemon drains.
@@ -44,11 +45,6 @@ DRAIN_RETRY_AFTER = 5.0
 
 #: Default cap on how long a ``result``/``watch`` wait may park.
 DEFAULT_WAIT_TIMEOUT = 300.0
-
-#: Longest request line a connection may send. An uploaded trace is one
-#: line: a recorded stress ring costs about 8 KB per rank, so asyncio's
-#: 64 KiB default refused anything over 7 ranks; this admits thousands.
-MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)

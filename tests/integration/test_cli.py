@@ -56,6 +56,58 @@ def test_report_and_dot_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("analysis", [[], ["--centralized"], ["--adapt"]])
+def test_only_the_requested_reports_are_rendered(
+    analysis, tmp_path, capsys, monkeypatch
+):
+    """Which renderers run follows the flags; what they write does not
+    depend on what else was asked for."""
+    from repro.core import treenodes, waitstate
+    from repro.wfg import report as wfg_report
+
+    rendered = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            rendered.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (treenodes, waitstate):
+        counting(module, "render_dot")
+        counting(module, "render_html_report")
+    counting(treenodes, "render_json_report")
+    counting(wfg_report, "render_json_report")
+
+    def demo(*flags):
+        del rendered[:]
+        code = main(["demo", "wildcard", "-n", "8", *analysis, *flags])
+        assert code == 1
+        assert "wait-for graph: 8 nodes, 56 arcs" in capsys.readouterr().out
+        return sorted(set(rendered))
+
+    files = {
+        kind: tmp_path / f"all.{kind}"
+        for kind in ("html", "dot", "json", "agg")
+    }
+    assert demo() == []
+    assert demo("--dot", str(files["agg"]), "--simplify") == []
+    assert "except self" in files["agg"].read_text()
+    demo("--report", str(files["html"]), "--dot", str(files["dot"]))
+    demo("--out", str(files["json"]), "--format", "json")
+    for kind, flag in (("html", "--report"), ("dot", "--dot")):
+        alone = tmp_path / f"alone.{kind}"
+        assert demo(flag, str(alone)) != []
+        assert alone.read_bytes() == files[kind].read_bytes()
+    both = tmp_path / "both.dot"
+    demo("--report", str(tmp_path / "r.html"), "--dot", str(both),
+         "--simplify")
+    assert both.read_bytes() == files["agg"].read_bytes()
+
+
 def test_figures_tables(capsys):
     assert main(["figures"]) == 0
     out = capsys.readouterr().out

@@ -321,6 +321,98 @@ def test_oversize_request_line_gets_a_structured_error(monkeypatch):
         assert not thread.is_alive(), "daemon did not drain"
 
 
+def test_request_line_limit_is_exact_through_submit(
+    monkeypatch, tmp_path, capsys
+):
+    """`repro submit trace.json` at exactly the limit is analyzed; one
+    byte over is exit 2 with the error named, not a dropped socket."""
+    from repro.cli import main
+    from repro.mpi.serialize import save_trace
+    from repro.serve import protocol, service as service_module
+
+    path = tmp_path / "stress4.json"
+    save_trace(Session().record(stress_programs(4, iterations=20)).matched,
+               str(path))
+    request = protocol.make_request(
+        "submit", "c1", tenant="default", analysis="analyze", ranks=4,
+        trace=json.loads(path.read_text()),
+    )
+    exact = len(protocol.encode(request)) - 1  # the newline is not counted
+    assert protocol.MAX_REQUEST_BYTES == 64 * 1024 * 1024
+    for limit, code in ((exact, 0), (exact - 1, 2)):
+        monkeypatch.setattr(service_module, "MAX_REQUEST_BYTES", limit)
+        service, thread = start_service()
+        try:
+            host, port = service.address
+            argv = ["submit", str(path), "--server", f"{host}:{port}"]
+            assert main(argv) == code
+            said = capsys.readouterr()
+            if code == 0:
+                assert ": clean" in said.out
+            else:
+                assert (
+                    "error: bad-request: request line exceeds "
+                    f"{limit} bytes"
+                ) in said.err
+                assert "retryable" not in said.err
+        finally:
+            with ServeClient(service.address) as client:
+                client.shutdown()
+            thread.join(30)
+            assert not thread.is_alive(), "daemon did not drain"
+
+
+_JOB_STACK_CHILD = """
+import json, sys
+import repro.cli.serve, repro.serve.service  # what `repro serve` starts with
+before = {m for m in sys.modules if m.startswith("repro")}
+from repro.api import AnalysisConfig, Session
+from repro.serve.jobs import Job, JobSpec, execute_job
+source, trace = json.load(sys.stdin)
+specs = [JobSpec(kind="workload", workload="fig2a", ranks=2),
+         JobSpec(kind="trace", trace=trace)]
+specs += [JobSpec(kind="program", op=op, source=source, ranks=2)
+          for op in ("analyze", "verify", "blame")]
+session = Session(AnalysisConfig(live=True))
+codes = [execute_job(session, Job(id=f"job-{i}", tenant="t", spec=spec))
+         ["exit_code"] for i, spec in enumerate(specs)]
+after = {m for m in sys.modules if m.startswith("repro")}
+print(json.dumps({"codes": codes, "added": sorted(after - before)}))
+"""
+
+
+def test_the_job_execution_stack_is_loaded_before_the_first_job():
+    """One job of every kind, run the way a pool worker runs it, finds
+    every ``repro`` module it needs already imported by daemon
+    start-up: no import lands inside a job, on a worker thread."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.mpi.serialize import matched_trace_to_dict
+
+    source = (
+        "def worker(rank):\n"
+        "    peer = 1 - rank.rank\n"
+        "    yield rank.recv(source=peer)\n"
+        "    yield rank.send(dest=peer)\n"
+        "    yield rank.finalize()\n"
+        "LINT_RANKS = 2\n"
+    )
+    trace = matched_trace_to_dict(Session().record(fig2a_programs()).matched)
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _JOB_STACK_CHILD],
+        input=json.dumps([source, trace]),
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [1, 1, 1, 1, 1]
+    assert result["added"] == []
+
+
 def test_watch_streams_live_windows(daemon):
     with ServeClient(daemon.address) as submitter:
         job = submitter.submit(tenant="w", workload="fig2a", ranks=2)
