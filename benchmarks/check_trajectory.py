@@ -13,9 +13,9 @@ Gated claims:
 
 * **parallel_shards** — modeled detection-latency speedup at 4 shards,
   p=256 must stay >= 1.8x (the sharded backend's reason to exist);
-* **classify_fastpath** — the decidable-fragment fast path must keep
-  >= 10x speedup over the explorer at the last (largest) cell of every
-  workload family;
+* **classify_fastpath** — the decidable-fragment fast path is O(n):
+  its cost per operation at the last (largest) cell of every workload
+  family stays <= 1.5x the first (smallest) cell's;
 * **flight_overhead** — the always-on flight recorder stays within the
   5% parity bound on every measured path;
 * **obs_sharded_overhead** — cross-shard tracing + the BSP round
@@ -43,7 +43,7 @@ DEFAULT_TRAJECTORY = RESULTS_DIR / "BENCH_trajectory.json"
 #: individual benches (each bench also self-gates; this gate catches
 #: regressions across runs and *missing* payloads).
 SHARDS_SPEEDUP_FLOOR = 1.8
-FASTPATH_SPEEDUP_FLOOR = 10.0
+FASTPATH_PER_OP_GROWTH_BOUND = 1.5
 OVERHEAD_PARITY_BOUND = 0.05
 POR_REDUCTION_FLOOR = 5.0
 PROVE_SPEEDUP_FLOOR = 5.0
@@ -71,13 +71,19 @@ def _check_classify_fastpath(payload: dict) -> list:
         if not cells:
             problems.append(f"classify_fastpath: family {family} is empty")
             continue
-        last = cells[-1]
-        speedup = float(last.get("speedup", 0.0))
-        if speedup < FASTPATH_SPEEDUP_FLOOR:
+        first, last = cells[0], cells[-1]
+        base = float(first.get("fast_us_per_op", 0.0))
+        top = float(last.get("fast_us_per_op", 0.0))
+        if not base or not top:
             problems.append(
-                f"classify_fastpath: {family} p={last.get('p')} speedup "
-                f"{speedup:.1f}x is below the "
-                f"{FASTPATH_SPEEDUP_FLOOR}x floor"
+                f"classify_fastpath: family {family} has no per-op cost"
+            )
+        elif top > FASTPATH_PER_OP_GROWTH_BOUND * base:
+            problems.append(
+                f"classify_fastpath: {family} costs {top:.2f} us/op at "
+                f"p={last.get('p')}, {top / base:.2f}x its "
+                f"{base:.2f} us/op at p={first.get('p')} (bound "
+                f"{FASTPATH_PER_OP_GROWTH_BOUND}x)"
             )
     return problems
 

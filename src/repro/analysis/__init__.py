@@ -34,17 +34,20 @@ from repro.analysis.explore import (
     explore_sequences,
 )
 from repro.analysis.extract import Extraction, extract_programs
-from repro.analysis.seqmatch import StaticMatchResult, match_sequences
-from repro.analysis.symbolic import (
-    Fragment,
+from repro.analysis.sequential import (
     LinearMatchResult,
     LinearMatchUnsupported,
+    StaticMatchResult,
+    match_linear,
+    match_sequences,
+)
+from repro.analysis.symbolic import (
+    Fragment,
     ProgramClassification,
     SequenceClassification,
     classify_extraction,
     classify_source,
     decide_extraction,
-    match_linear,
 )
 from repro.analysis.typestate import (
     check_collective_consistency,

@@ -12,8 +12,8 @@ For a Python file the pipeline is
    checker (:mod:`repro.analysis.typestate`);
 5. when the extraction is exact and wildcard-free, replay the
    sequences under the deterministic sequential model
-   (:mod:`repro.analysis.seqmatch`) and report any deadlock with its
-   witness cycle.
+   (:func:`repro.analysis.sequential.match_sequences`) and report any
+   deadlock with its witness cycle.
 
 For a recorded ``.json`` trace, steps 4–5 run on the recorded
 sequences, with wildcard receives pinned to their observed matches.
@@ -35,7 +35,7 @@ from repro.analysis.explore import (
     explore_extraction,
 )
 from repro.analysis.extract import Extraction, extract_programs
-from repro.analysis.seqmatch import StaticMatchResult, match_sequences
+from repro.analysis.sequential import StaticMatchResult, match_sequences
 from repro.analysis.symbolic.fragments import (
     ProgramClassification,
     classify_extraction,

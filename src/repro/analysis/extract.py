@@ -13,13 +13,14 @@ feed back into later calls structurally, so the extractor parks a rank
 at ``MPI_Comm_dup``/``_split``/``_create`` until every group member
 arrives and then distributes real registry results. Everything else
 continues immediately — blocking behaviour is the matcher's concern
-(:mod:`repro.analysis.seqmatch`), not the extractor's.
+(:mod:`repro.analysis.matchcore`), not the extractor's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.matchcore import runtime_steered
 from repro.checks.findings import CheckFinding, Severity
 from repro.mpi.communicator import CommRegistry
 from repro.mpi.constants import (
@@ -40,19 +41,6 @@ _COMM_MGMT = frozenset(
 
 _ISEND_KINDS = frozenset(
     {OpKind.ISEND, OpKind.ISSEND, OpKind.IBSEND, OpKind.IRSEND}
-)
-
-#: Kinds whose stubbed results may diverge from a real execution.
-_INEXACT_RESULT_KINDS = frozenset(
-    {
-        OpKind.IPROBE,
-        OpKind.TEST,
-        OpKind.TESTALL,
-        OpKind.TESTANY,
-        OpKind.TESTSOME,
-        OpKind.WAITANY,
-        OpKind.WAITSOME,
-    }
 )
 
 
@@ -259,7 +247,8 @@ def _step(
         _record_start(driver, call, ext)
         return
     op = _record(driver, call)
-    if kind in _INEXACT_RESULT_KINDS:
+    if runtime_steered(kind):
+        # The stubbed result may diverge from a real execution.
         ext.exact = False
         ext.wildcard_exact = False
     if op.is_recv() or op.is_probe():

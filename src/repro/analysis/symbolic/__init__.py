@@ -6,8 +6,6 @@ Layers (each a module, bottom-up):
 * :mod:`.cfg` — per-function CFGs and the module call graph;
 * :mod:`.symexec` — abstract interpretation of rank programs into
   rank-parametric term trees, plus concrete instantiation;
-* :mod:`.linmatch` — the O(n) unique-matching deadlock decision for
-  wildcard-free sequences;
 * :mod:`.fragments` — the ``SEQ-DETERMINISTIC`` /
   ``SEQ-WILDCARD-FREE-LOOPS`` / ``UNDECIDABLE`` classifier and the
   verify fast-path entry points;
@@ -31,7 +29,7 @@ from repro.analysis.symbolic.fragments import (
     decide_extraction,
     decide_sequences,
 )
-from repro.analysis.symbolic.linmatch import (
+from repro.analysis.sequential import (
     LinearMatchResult,
     LinearMatchUnsupported,
     match_linear,

@@ -17,7 +17,7 @@ matching is pinned statically:
 
 For the first two fragments the matching-order theorem (0709.3692)
 makes one interleaving authoritative, so
-:func:`~repro.analysis.symbolic.linmatch.match_linear` decides
+:func:`~repro.analysis.sequential.match_linear` decides
 deadlock in linear time; :func:`decide_extraction` packages that as an
 :class:`~repro.analysis.explore.ExploreResult` so ``repro verify`` can
 take the fast path without touching the state graph.
@@ -41,11 +41,8 @@ if TYPE_CHECKING:
 
 from repro.analysis.explore import ExploreResult, ExploreStats, Verdict
 from repro.analysis.extract import Extraction
-from repro.analysis.symbolic.linmatch import (
-    _SUPPORTED_KINDS,
-    LinearMatchUnsupported,
-    match_linear,
-)
+from repro.analysis.matchcore import runtime_steered
+from repro.analysis.sequential import LinearMatchUnsupported, match_linear
 from repro.analysis.symbolic.symexec import (
     Branch,
     ProgramSummary,
@@ -56,28 +53,8 @@ from repro.analysis.symbolic.symexec import (
     summarize_module,
 )
 from repro.mpi.communicator import CommRegistry
-from repro.mpi.constants import (
-    ANY_SOURCE,
-    OpKind,
-    is_collective_kind,
-    is_recv_kind,
-)
+from repro.mpi.constants import ANY_SOURCE, OpKind, is_recv_kind
 from repro.mpi.ops import Operation
-
-#: Operation kinds whose extraction is steered by runtime results —
-#: their presence already forces ``Extraction.exact = False``, listed
-#: here so sequence classification can name the offender.
-_INEXACT_KINDS = frozenset(
-    {
-        OpKind.IPROBE,
-        OpKind.TEST,
-        OpKind.TESTALL,
-        OpKind.TESTANY,
-        OpKind.TESTSOME,
-        OpKind.WAITANY,
-        OpKind.WAITSOME,
-    }
-)
 
 
 class Fragment(Enum):
@@ -246,26 +223,18 @@ def classify_sequences(
         )
     for seq in sequences:
         for op in seq:
-            if (
-                is_recv_kind(op.kind) or op.is_probe()
-            ) and op.peer == ANY_SOURCE:
+            if op.is_wildcard_receive():
                 return SequenceClassification(
                     Fragment.UNDECIDABLE,
                     f"wildcard receive at {op.describe()}"
                     f" (rank {op.rank}, t={op.ts})",
                 )
-            if op.kind in _INEXACT_KINDS:
+            if runtime_steered(op.kind):
+                # Their presence already forces ``Extraction.exact =
+                # False``; checked here to name the offender.
                 return SequenceClassification(
                     Fragment.UNDECIDABLE,
                     f"{op.kind.value} completion is runtime-steered",
-                )
-            if (
-                op.kind not in _SUPPORTED_KINDS
-                and not is_collective_kind(op.kind)
-            ):
-                return SequenceClassification(
-                    Fragment.UNDECIDABLE,
-                    f"{op.kind.value} is outside the linear fragment",
                 )
     # ANY_TAG on a *directed* receive only fabricates the status tag;
     # the non-overtaking rule still pins the matching uniquely, so

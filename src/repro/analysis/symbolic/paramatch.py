@@ -10,7 +10,7 @@ eventually-periodic size algebra of :mod:`.solver`:
   (twice the largest constant offset past which wrap-around patterns
   have stabilized), a period ``Λ`` (lcm of the residue-split moduli),
   and the finite confirmation window ``[MIN_SIZE, window_hi)`` that a
-  :func:`~repro.analysis.symbolic.linmatch.match_linear` sweep must
+  :func:`~repro.analysis.sequential.match_linear` sweep must
   clear before deadlock-freedom extrapolates to all ``p``.
 
 * :func:`analyze_channels` pairs send/recv/collective sites by solving

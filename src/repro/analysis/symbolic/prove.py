@@ -22,9 +22,10 @@ for every process count at once, or finds the minimal failing one:
 
 4. **Falsify through the authoritative path.** Candidate sizes — and,
    for soundness of the certificate, *every* size in the window — are
-   confirmed via :func:`~.linmatch.match_linear` in ascending order,
-   so the first deadlock found is the minimal counterexample ``p``
-   and carries a standard replayable witness schedule.
+   confirmed via :func:`~repro.analysis.sequential.match_linear` in
+   ascending order, so the first deadlock found is the minimal
+   counterexample ``p`` and carries a standard replayable witness
+   schedule.
 
 5. **Extrapolate with verification.** If every window size is
    deadlock-free and every channel's behavior passed the periodicity
@@ -47,7 +48,7 @@ from repro.analysis.symbolic.fragments import (
     ProgramClassification,
     classify_summary,
 )
-from repro.analysis.symbolic.linmatch import (
+from repro.analysis.sequential import (
     LinearMatchUnsupported,
     match_linear,
 )

@@ -168,6 +168,25 @@ class TestLint:
         assert code == 0
         assert "clean" in out
 
+    def test_probe_against_a_blocking_send_is_clean(self, tmp_path, capsys):
+        # A posted MPI_Send is what wakes the probe; the replay once
+        # missed that and reported a cycle below its own all-p proof.
+        src = tmp_path / "probe_send.py"
+        src.write_text(
+            "def program(rank):\n"
+            "    if rank.rank == 0:\n"
+            "        yield rank.probe(source=1, tag=3)\n"
+            "        yield rank.recv(source=1, tag=3)\n"
+            "    elif rank.rank == 1:\n"
+            "        yield rank.send(0, tag=3)\n"
+            "    yield rank.finalize()\n"
+        )
+        code = main(["lint", "-n", "2", str(src)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "proved-all-p" in out
+        assert "static-deadlock" not in out
+
     def test_missing_path_exits_two(self, tmp_path, capsys):
         code = main(["lint", str(tmp_path / "absent.py")])
         assert code == 2

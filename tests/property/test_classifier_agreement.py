@@ -12,7 +12,10 @@ The fast path in ``repro verify`` stands on two claims:
 
 Random deterministic program sets (plus deadlock-introducing
 mutations) exercise the first claim; random wildcard sets exercise the
-second. Divergence count must be exactly zero.
+second. Divergence count must be exactly zero. Both deciders are
+drivers of one matching core, so every decided set is also run on the
+virtual runtime under strict ``b`` — the independent oracle — and must
+deadlock exactly the ranks they blame.
 """
 import pytest
 
@@ -29,7 +32,10 @@ from repro.analysis.symbolic import (
     decide_extraction,
     match_linear,
 )
+from repro.core.waitstate import analyze_trace
+from repro.mpi.blocking import BlockingSemantics
 from repro.workloads.randomgen import mutate_program_set, safe_program_set
+from tests.conftest import run_strict
 
 SAFE_SEEDS = range(40)
 MUTATED_SEEDS = range(30)
@@ -49,6 +55,18 @@ def _mutate(seed):
     return mutate_program_set(
         _generate(seed), seed + 20_000, mutations=1 + seed % 3
     )
+
+
+def _runtime_deadlocked(generated):
+    res = run_strict(generated.programs())
+    if not res.deadlocked:
+        return []
+    analysis = analyze_trace(
+        res.matched,
+        semantics=BlockingSemantics.strict(),
+        generate_outputs=False,
+    )
+    return sorted(analysis.deadlocked)
 
 
 def _check_agreement(generated):
@@ -80,6 +98,13 @@ def _check_agreement(generated):
     ), f"verdict divergence on seed {generated.seed}"
     assert sorted(lin.deadlocked) == sorted(exp.deadlocked), (
         f"blame divergence on seed {generated.seed}"
+    )
+    # The two deciders drive one step function, so their agreement
+    # checks worklist order against DFS order, not the semantics. The
+    # engine shares no code with either: the decided set must deadlock
+    # the strict runtime on exactly the blamed ranks.
+    assert sorted(lin.deadlocked) == _runtime_deadlocked(generated), (
+        f"engine divergence on seed {generated.seed}"
     )
     # The packaged fast-path result carries the same verdict and never
     # touches the state graph.

@@ -407,6 +407,20 @@ class TestSequentialMatching:
         result = self._match(top, bottom)
         assert set(result.deadlocked) == {0, 1}
 
+    def test_probe_is_woken_by_a_posted_blocking_send(self):
+        def prober(rank):
+            yield rank.probe(source=1, tag=3)
+            yield rank.recv(source=1, tag=3)
+            yield rank.finalize()
+
+        def sender(rank):
+            yield rank.send(0, tag=3)
+            yield rank.finalize()
+
+        result = self._match(prober, sender)
+        assert result.applicable and not result.has_deadlock
+        assert result.finished == {0, 1}
+
     def test_unresolved_wildcard_is_not_applicable(self):
         ext = extract_programs(
             [
