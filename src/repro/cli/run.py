@@ -20,7 +20,6 @@ from repro.core.waitstate import analyze_trace
 from repro.mpi.serialize import load_trace, save_trace
 from repro.mpi.trace import MatchedTrace
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.perf.timers import PHASE_OUTPUT
 from repro.util.errors import TraceError
 from repro.wfg.report import render_json_report
 from repro.wfg.simplify import render_aggregated_dot, simplify
@@ -70,46 +69,28 @@ def _analyze(
                 print("  " + finding.render())
         else:
             print("correctness checks: clean")
-    # Render only what will be written: at p=1024 the wildcard storm's
-    # full DOT, HTML and JSON are 185 MB of strings.
-    json_out = getattr(args, "json_out", None)
-    wanted = bool(
-        args.report or json_out or (args.dot and not args.simplify)
-    )
     profile = None
-    if args.adapt or args.centralized:
+    centralized = args.adapt or args.centralized
+    if centralized:
         if args.adapt:
-            adaptive = analyze_with_adaptation(
-                matched, generate_outputs=wanted
-            )
+            adaptive = analyze_with_adaptation(matched, generate_outputs=True)
             print(adaptive.summary())
-            analysis = adaptive.final
+            found = adaptive.final
         else:
-            analysis = analyze_trace(matched, generate_outputs=wanted)
+            found = analyze_trace(matched)
             print(
                 "centralized verdict: deadlocked ranks "
-                f"{analysis.deadlocked or '()'}"
+                f"{found.deadlocked or '()'}"
             )
-        deadlocked, graph = analysis.deadlocked, analysis.graph
-        dot_text, html = analysis.dot_text, analysis.html_report
-        detection, conditions = analysis.detection, analysis.conditions
-        json_doc, extras = None, {}
+        deadlocked, detection = found.deadlocked, found.detection
     else:
         backend = make_backend(args.backend, shards=args.shards)
         outcome = backend.run(
-            matched,
-            fan_in=args.fan_in,
-            seed=args.seed,
-            generate_outputs=wanted,
-            observer=observer,
+            matched, fan_in=args.fan_in, seed=args.seed, observer=observer
         )
         profile = backend.last_profile
-        record = outcome.detection
-        deadlocked, graph = outcome.deadlocked, record.graph
-        dot_text, html = record.dot_text, record.html_report
-        detection, conditions = record.result, record.conditions
-        json_doc = record.json_report
-        extras = {"flight_tails": record.flight_tails, "blame": record.blame}
+        found = outcome.detection
+        deadlocked, detection = outcome.deadlocked, found.result
         print(
             f"distributed verdict (fan-in {args.fan_in}, backend "
             f"{backend.describe()}): deadlocked "
@@ -119,34 +100,40 @@ def _analyze(
             f"tool messages: {outcome.messages_sent:,}; peak trace "
             f"window: {outcome.peak_window}"
         )
-        phases = record.timers.breakdown()
-        if deadlocked:
-            # A deadlock's breakdown keeps its output line when no
-            # report was asked for and none was rendered.
-            phases.setdefault(PHASE_OUTPUT, 0.0)
-        for phase, seconds in phases.items():
+    graph = found.graph
+    # Each flag produces its own artifact and nothing else, streamed to
+    # its file (at p=1024 the wildcard storm's DOT, HTML and JSON are
+    # 185 MB), and only a deadlock has reports. They are produced
+    # before the phase table is printed so that it counts them.
+    wrote = []
+    if deadlocked and args.report:
+        with open(args.report, "w", encoding="utf-8") as handle:
+            found.write_html(handle)
+        wrote.append(args.report)
+    if deadlocked and args.dot:
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            if args.simplify:
+                handle.write(render_aggregated_dot(simplify(graph)))
+            else:
+                found.write_dot(handle)
+        wrote.append(args.dot)
+    json_out = getattr(args, "json_out", None)
+    if json_out:
+        json_doc = None if centralized else found.json_report
+        if json_doc is None:
+            # A centralized analysis, or a clean run: neither has
+            # flight tails or a blame chain.
+            json_doc = render_json_report(graph, detection, found.conditions)
+    if not centralized:
+        for phase, seconds in found.timers.breakdown().items():
             print(f"  {phase:20s} {seconds * 1e3:9.3f} ms")
-    if deadlocked and graph is not None:
+    if deadlocked:
         print(f"wait-for graph: {len(graph.nodes)} nodes, "
               f"{graph.arc_count()} arcs")
-    if args.report and html:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(html)
-        print(f"wrote {args.report}")
-    if args.dot and args.simplify and deadlocked and graph is not None:
-        dot_text = render_aggregated_dot(simplify(graph))
-    if args.dot and dot_text:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot_text)
-        print(f"wrote {args.dot}")
+    for path in wrote:
+        print(f"wrote {path}")
     if json_out:
-        if json_doc is None and graph is not None and detection is not None:
-            # A clean run, or an analysis that renders no JSON itself.
-            json_doc = render_json_report(
-                graph, detection, conditions, **extras
-            )
-        if json_doc is not None:
-            _write_json(json_out, json_doc)
+        _write_json(json_out, json_doc)
     _finish_obs(
         observer,
         args,

@@ -8,8 +8,9 @@ root messages downward, and relay wait-info replies upward.
 
 The root node (``WfgCheck`` in Figure 1(b)) completes collective
 matching tree-wide, drives the Section 5 detection protocol, resolves
-the gathered wait-for conditions into the AND/OR wait-for graph, runs
-the deadlock criterion, and renders DOT/HTML output. Detection-phase
+the gathered wait-for conditions into the AND/OR wait-for graph and
+runs the deadlock criterion; the DOT/HTML/JSON reports of a detection
+are rendered when its record is asked for them. Detection-phase
 durations are split into the paper's activity groups: synchronization
 and WFG-gather times come from the simulated network clock, while
 graph build / deadlock check / output generation are measured
@@ -18,7 +19,10 @@ computation times of the root itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, TypeVar,
+)
 
 from repro.core.messages import (
     AckConsistentState,
@@ -45,9 +49,15 @@ from repro.tbon.network import Transport
 from repro.tbon.topology import TbonTopology
 from repro.util.errors import ProtocolError
 from repro.wfg.detect import DetectionResult, detect_deadlock
-from repro.wfg.dot import render_dot
+from repro.wfg.dot import render_dot, write_dot
 from repro.wfg.graph import WaitForGraph
-from repro.wfg.report import render_html_report, render_json_report
+from repro.wfg.report import (
+    render_html_report,
+    render_json_report,
+    write_html_report,
+)
+
+_T = TypeVar("_T")
 
 
 class InteriorNode:
@@ -129,7 +139,13 @@ class InteriorNode:
 
 @dataclass
 class DetectionRecord:
-    """One timeout-triggered detection run at the root."""
+    """One timeout-triggered detection run at the root.
+
+    ``dot_text``, ``html_report`` and ``json_report`` are rendered on
+    first read and kept; each render adds its duration to the output
+    phase of ``timers``. They read None when the detection found no
+    deadlock or the run was made with ``generate_outputs=False``.
+    """
 
     detection_id: int
     requested_at: float
@@ -139,14 +155,11 @@ class DetectionRecord:
     result: Optional[DetectionResult] = None
     conditions: Dict[int, WaitForCondition] = field(default_factory=dict)
     timers: PhaseTimers = field(default_factory=PhaseTimers)
-    dot_text: Optional[str] = None
-    html_report: Optional[str] = None
+    generate_outputs: bool = True
     #: Flight-recorder tails of the deadlocked ranks (rank -> events).
     flight_tails: Dict[int, List[dict]] = field(default_factory=dict)
     #: Human-readable blame chain along the witness cycle.
     blame: Tuple[str, ...] = ()
-    #: Machine-readable deadlock report (``repro-deadlock-report/1``).
-    json_report: Optional[dict] = None
 
     @property
     def complete(self) -> bool:
@@ -155,6 +168,44 @@ class DetectionRecord:
     @property
     def has_deadlock(self) -> bool:
         return bool(self.result and self.result.has_deadlock)
+
+    def _output(
+        self, render: Callable[..., _T], *args: Any, **options: Any
+    ) -> Optional[_T]:
+        """``render(...)``, timed as output generation; None, with
+        nothing called, for a record that has no reports."""
+        if not (self.generate_outputs and self.has_deadlock):
+            return None
+        with self.timers.phase(PHASE_OUTPUT):
+            return render(*args, **options)
+
+    def _report(self, render: Callable[..., _T], *out: TextIO) -> Optional[_T]:
+        """The HTML or JSON report, through a renderer or a writer."""
+        return self._output(
+            render, *out, self.graph, self.result, self.conditions,
+            flight_tails=self.flight_tails, blame=self.blame,
+        )
+
+    @cached_property
+    def dot_text(self) -> Optional[str]:
+        return self._output(render_dot, self.graph, self.result)
+
+    @cached_property
+    def html_report(self) -> Optional[str]:
+        return self._report(render_html_report)
+
+    @cached_property
+    def json_report(self) -> Optional[Dict[str, Any]]:
+        """Machine-readable deadlock report (``repro-deadlock-report/1``)."""
+        return self._report(render_json_report)
+
+    def write_dot(self, out: TextIO) -> None:
+        """Stream what ``dot_text`` reads to ``out``, keeping nothing."""
+        self._output(write_dot, out, self.graph, self.result)
+
+    def write_html(self, out: TextIO) -> None:
+        """Stream what ``html_report`` reads to ``out``, keeping nothing."""
+        self._report(write_html_report, out)
 
 
 class RootNode:
@@ -229,7 +280,9 @@ class RootNode:
         self._next_detection += 1
         self._active_detection = detection_id
         record = DetectionRecord(
-            detection_id=detection_id, requested_at=net.now
+            detection_id=detection_id,
+            requested_at=net.now,
+            generate_outputs=self.generate_outputs,
         )
         self._detections[detection_id] = record
         self._pending_acks[detection_id] = 0
@@ -304,7 +357,7 @@ class RootNode:
         self,
         record: DetectionRecord,
         waits: Sequence[WaitInfoMsg],
-        net: Optional[Network] = None,
+        net: Optional[Transport] = None,
     ) -> None:
         with record.timers.phase(PHASE_GRAPH_BUILD):
             conditions = self._resolve_conditions(waits)
@@ -327,37 +380,25 @@ class RootNode:
             from repro.obs.causal import blame_chain
 
             record.blame = tuple(blame_chain(graph, result, conditions))
-        if self.generate_outputs and result.has_deadlock:
+            # The reports themselves wait until the record is asked for
+            # them. The tails cannot: the rings are reset by the next
+            # job, and on the sharded backend they live in workers that
+            # exit with this run. Snapshotting describes every retained
+            # operation, which is report generation, not tracking.
             with record.timers.phase(PHASE_OUTPUT):
-                # Tails are rendered here, not on the tracking path:
-                # snapshotting describes every retained operation, which
-                # is report-generation work, not wait-state tracking.
-                if self.flight.enabled:
+                if self.generate_outputs and self.flight.enabled:
                     record.flight_tails = self.flight.snapshot(
                         sorted(result.deadlocked)
                     )
-                record.dot_text = render_dot(graph, result)
-                record.html_report = render_html_report(
-                    graph,
-                    result,
-                    conditions,
-                    dot_text=record.dot_text,
-                    flight_tails=record.flight_tails,
-                    blame=record.blame,
-                )
-                record.json_report = render_json_report(
-                    graph,
-                    result,
-                    conditions,
-                    flight_tails=record.flight_tails,
-                    blame=record.blame,
-                )
         if net is not None and net.obs.enabled:
             obs = net.obs
             obs.metrics.inc("detection.runs")
             if record.has_deadlock:
                 obs.metrics.inc("detection.deadlocks")
             obs.metrics.merge_phase_breakdown(record.timers.breakdown())
+            # A report rendered from here on is output generation the
+            # fold above has not seen; the observer hears of it then.
+            record.timers.sink = obs.metrics.merge_phase_breakdown
             # The root's computation phases are wall-clock durations;
             # lay them out sequentially after the gather on the
             # simulated timeline so the trace shows the full pipeline.

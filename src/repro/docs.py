@@ -114,6 +114,10 @@ REGISTRY: Dict[str, DocFamily] = {
             "serve", (1,), ("kind",),
             "analysis-service protocol envelope (repro serve)",
         ),
+        DocFamily(
+            "deadlock-report", (1,), ("deadlocked", "conditions", "wfg"),
+            "deadlock report of one detection (repro analyze/demo)",
+        ),
     )
 }
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Callable, Dict, Iterator, Mapping, Optional
 
 #: Canonical phase names, in the paper's presentation order.
 PHASE_SYNCHRONIZATION = "synchronization"
@@ -32,6 +32,12 @@ class PhaseTimers:
 
     def __init__(self) -> None:
         self._elapsed: Dict[str, float] = {}
+        #: Once set, told of every later addition as a one-phase
+        #: breakdown. An observed detection sets it to
+        #: ``MetricsRegistry.merge_phase_breakdown`` after folding its
+        #: own phases in, so a report rendered long afterwards still
+        #: lands in the observer's histogram.
+        self.sink: Optional[Callable[[Mapping[str, float]], None]] = None
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -39,14 +45,14 @@ class PhaseTimers:
         try:
             yield
         finally:
-            self._elapsed[name] = (
-                self._elapsed.get(name, 0.0) + time.perf_counter() - start
-            )
+            self.add(name, time.perf_counter() - start)
 
     def add(self, name: str, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("negative phase time")
         self._elapsed[name] = self._elapsed.get(name, 0.0) + seconds
+        if self.sink is not None:
+            self.sink({name: seconds})
 
     def elapsed(self, name: str) -> float:
         return self._elapsed.get(name, 0.0)

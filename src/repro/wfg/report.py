@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import html
 import io
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple,
+)
 
 from repro.core.transition import UnexpectedMatch
 from repro.core.waitfor import Clause, GroupClause, WaitForCondition
+from repro.docs import doc_header
 from repro.wfg.detect import DetectionResult
+from repro.wfg.dot import write_dot
 from repro.wfg.graph import WaitForGraph
 
 _STYLE = """
@@ -28,7 +32,8 @@ pre { background: #f6f6f6; padding: 1em; overflow-x: auto; }
 """
 
 
-def render_html_report(
+def write_html_report(
+    out: TextIO,
     graph: WaitForGraph,
     result: DetectionResult,
     conditions: Mapping[int, WaitForCondition],
@@ -38,9 +43,16 @@ def render_html_report(
     flight_tails: Optional[Mapping[int, Sequence[Mapping[str, Any]]]] = None,
     blame: Sequence[str] = (),
     title: str = "MUST-style deadlock report",
-) -> str:
-    """Produce the HTML report text for one detection run."""
-    out = io.StringIO()
+) -> None:
+    """Write the HTML report of one detection run to ``out``.
+
+    The report ends with the graph's DOT text, written by
+    :func:`repro.wfg.dot.write_dot` with ``html.escape`` on its pieces:
+    one pass, and like the table rows one ``write()`` per clause. A
+    caller that already holds DOT text (an aggregated graph, a string
+    it rendered earlier) passes it as ``dot_text`` and that is embedded
+    instead.
+    """
     out.write("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">")
     out.write(f"<title>{html.escape(title)}</title>")
     out.write(f"<style>{_STYLE}</style></head><body>\n")
@@ -63,13 +75,13 @@ def render_html_report(
     for rank in sorted(conditions):
         cond = conditions[rank]
         cls = " class=\"dead\"" if rank in dead else ""
-        waits = _render_condition(cond, names)
         status = "deadlocked" if rank in dead else "blocked (releasable)"
         out.write(
             f"<tr{cls}><td>{rank}</td>"
-            f"<td><code>{html.escape(cond.op_description)}</code></td>"
-            f"<td>{waits}</td><td>{status}</td></tr>\n"
+            f"<td><code>{html.escape(cond.op_description)}</code></td><td>"
         )
+        _write_condition(out.write, cond, names)
+        out.write(f"</td><td>{status}</td></tr>\n")
     out.write("</table>\n")
 
     if unexpected:
@@ -110,10 +122,24 @@ def render_html_report(
 
     out.write(f"<p>Wait-for graph: {len(graph.nodes)} node(s), "
               f"{graph.arc_count()} arc(s).</p>\n")
+    out.write("<h2>Wait-for graph (DOT)</h2>\n<pre>")
     if dot_text is not None:
-        out.write("<h2>Wait-for graph (DOT)</h2>\n")
-        out.write(f"<pre>{html.escape(dot_text)}</pre>\n")
-    out.write("</body></html>\n")
+        out.write(html.escape(dot_text))
+    else:
+        write_dot(out, graph, result, escape=html.escape)
+    out.write("</pre>\n</body></html>\n")
+
+
+def render_html_report(
+    graph: WaitForGraph,
+    result: DetectionResult,
+    conditions: Mapping[int, WaitForCondition],
+    **options: Any,
+) -> str:
+    """The text :func:`write_html_report` writes, as one string; the
+    keywords are that function's."""
+    out = io.StringIO()
+    write_html_report(out, graph, result, conditions, **options)
     return out.getvalue()
 
 
@@ -144,7 +170,7 @@ def render_json_report(
             }
         )
     return {
-        "format": "repro-deadlock-report/1",
+        **doc_header("deadlock-report"),
         "deadlocked": list(result.deadlocked),
         "releasable": list(result.releasable),
         "witness_cycle": list(result.witness_cycle),
@@ -169,19 +195,23 @@ def _clause_doc(
     return [{"rank": t.rank, "reason": t.reason} for t in clause]
 
 
-def _render_condition(
-    cond: WaitForCondition, names: Dict[Tuple[int, str], List[str]]
-) -> str:
-    parts = []
-    for clause in cond.clauses:
+def _write_condition(
+    write: Callable[[str], Any],
+    cond: WaitForCondition,
+    names: Dict[Tuple[int, str], List[str]],
+) -> None:
+    if not cond.clauses:
+        write("<i>nothing (tool anomaly)</i>")
+    for ci, clause in enumerate(cond.clauses):
         if isinstance(clause, GroupClause):
             ranks = clause.per_target(str, names)
         else:
             ranks = [str(t.rank) for t in clause]
+        if ci:
+            write(" AND ")
         if not ranks:
-            parts.append("<i>unsatisfiable (no possible partner)</i>")
+            write("<i>unsatisfiable (no possible partner)</i>")
         elif len(ranks) == 1:
-            parts.append(f"rank {ranks[0]}")
+            write(f"rank {ranks[0]}")
         else:
-            parts.append(f"any of [{', '.join(ranks)}]")
-    return " AND ".join(parts) if parts else "<i>nothing (tool anomaly)</i>"
+            write(f"any of [{', '.join(ranks)}]")

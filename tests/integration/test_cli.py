@@ -1,10 +1,12 @@
 """The command-line interface, driven in-process."""
+import html
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.docs import validate_doc
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -58,29 +60,10 @@ def test_report_and_dot_artifacts(tmp_path, capsys):
 
 @pytest.mark.parametrize("analysis", [[], ["--centralized"], ["--adapt"]])
 def test_only_the_requested_reports_are_rendered(
-    analysis, tmp_path, capsys, monkeypatch
+    analysis, tmp_path, capsys, rendered
 ):
-    """Which renderers run follows the flags; what they write does not
-    depend on what else was asked for."""
-    from repro.core import treenodes, waitstate
-    from repro.wfg import report as wfg_report
-
-    rendered = []
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            rendered.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module in (treenodes, waitstate):
-        counting(module, "render_dot")
-        counting(module, "render_html_report")
-    counting(treenodes, "render_json_report")
-    counting(wfg_report, "render_json_report")
+    """Each flag runs its own writer and no other; what a writer puts
+    in its file does not depend on what else was asked for."""
 
     def demo(*flags):
         del rendered[:]
@@ -93,19 +76,54 @@ def test_only_the_requested_reports_are_rendered(
         kind: tmp_path / f"all.{kind}"
         for kind in ("html", "dot", "json", "agg")
     }
+    # The HTML report embeds the graph's DOT, written by the DOT writer.
+    html_with_its_dot = ["write_dot", "write_html_report"]
     assert demo() == []
     assert demo("--dot", str(files["agg"]), "--simplify") == []
     assert "except self" in files["agg"].read_text()
-    demo("--report", str(files["html"]), "--dot", str(files["dot"]))
-    demo("--out", str(files["json"]), "--format", "json")
-    for kind, flag in (("html", "--report"), ("dot", "--dot")):
+    assert demo(
+        "--report", str(files["html"]), "--dot", str(files["dot"])
+    ) == html_with_its_dot
+    assert demo("--out", str(files["json"]), "--format", "json") == [
+        "render_json_report"
+    ]
+    for kind, flag, writers in (
+        ("html", "--report", html_with_its_dot),
+        ("dot", "--dot", ["write_dot"]),
+    ):
         alone = tmp_path / f"alone.{kind}"
-        assert demo(flag, str(alone)) != []
+        assert demo(flag, str(alone)) == writers
         assert alone.read_bytes() == files[kind].read_bytes()
     both = tmp_path / "both.dot"
-    demo("--report", str(tmp_path / "r.html"), "--dot", str(both),
-         "--simplify")
+    assert demo(
+        "--report", str(tmp_path / "r.html"), "--dot", str(both), "--simplify"
+    ) == html_with_its_dot
     assert both.read_bytes() == files["agg"].read_bytes()
+
+    embedded = files["html"].read_text().split("<pre>")[1].split("</pre>")[0]
+    assert html.unescape(embedded) == files["dot"].read_text()
+    doc = json.loads(files["json"].read_text())
+    assert validate_doc(doc, "deadlock-report", check_keys=True) == (
+        "deadlock-report", 1
+    )
+
+
+def test_callers_that_read_no_report_render_none(rendered):
+    """`Session.blame` in live mode and a serve job take the verdict,
+    the blame chain and a few integers from the outcome."""
+    from repro.api import Session
+    from repro.serve.jobs import Job, JobSpec, execute_job
+
+    session = Session()
+    _report, outcome = session.blame(
+        str(EXAMPLES / "lammps_potential_deadlock.py"), ranks=12
+    )
+    assert outcome.deadlocked == tuple(range(12))
+    spec = JobSpec(kind="workload", workload="wildcard", ranks=8)
+    result = execute_job(session, Job(id="job-0", tenant="t", spec=spec))
+    assert result["verdict"] == "deadlock"
+    assert result["deadlocked"] == list(range(8))
+    assert rendered == []
 
 
 def test_figures_tables(capsys):

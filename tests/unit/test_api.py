@@ -7,7 +7,12 @@ import pytest
 import repro
 from repro.api import AnalysisConfig, Session
 from repro.backend import InlineBackend, ShardedBackend
-from repro.workloads import fig2a_programs, stress_programs
+from repro.workloads import (
+    fig2a_programs,
+    lammps_skeleton_programs,
+    stress_programs,
+    wildcard_deadlock_programs,
+)
 
 
 class TestAnalysisConfig:
@@ -90,6 +95,113 @@ class TestSession:
         session.export()  # second call must not rewrite
         assert not trace.exists()
         assert stamp
+
+
+class TestReportsRenderWhenRead:
+    """A detection's DOT, HTML and JSON cost something only once
+    somebody reads them, and then once."""
+
+    def test_run_calls_no_renderer_until_a_report_is_read(self, rendered):
+        record = Session().run(wildcard_deadlock_programs(8)).detection
+        assert record.has_deadlock and record.blame
+        assert rendered == []
+        assert record.dot_text.startswith("digraph wfg {")
+        assert rendered == ["render_dot", "write_dot"]
+        del rendered[:]
+        assert record.json_report["deadlocked"] == list(range(8))
+        assert rendered == ["render_json_report"]
+
+    def test_a_report_is_rendered_once_and_timed_once(self):
+        record = Session().run(wildcard_deadlock_programs(8)).detection
+
+        def output_s():
+            return record.timers.breakdown()["output_generation"]
+
+        # A deadlock's breakdown carries the phase before any report.
+        before = output_s()
+        first = record.html_report
+        after = output_s()
+        assert after > before >= 0
+        assert record.html_report is first
+        assert output_s() == after
+        assert record.dot_text is not None
+        assert output_s() > after
+
+    def test_an_observed_run_sees_late_renders_in_its_phase_histogram(self):
+        session = Session(observe=True)
+        record = session.run(wildcard_deadlock_programs(8)).detection
+
+        def observed():
+            histograms = session.metrics_snapshot()["histograms"]
+            return {
+                phase: histograms["detection.phase." + phase]
+                for phase in record.timers.breakdown()
+            }
+
+        # One observation per phase per detection, the output phase's
+        # being the flight-tail snapshot ...
+        at_detection = observed()
+        assert len(at_detection) == 5
+        assert {h["count"] for h in at_detection.values()} == {1}
+        for _read in range(2):
+            assert record.html_report and record.dot_text
+        # ... and one more of the output phase per report rendered
+        # (a second read renders nothing).
+        after = observed()
+        output = after.pop("output_generation")
+        assert output["count"] == 3
+        del at_detection["output_generation"]
+        assert after == at_detection
+        assert output["sum"] == pytest.approx(
+            record.timers.breakdown()["output_generation"]
+        )
+
+    def test_clean_runs_and_generate_outputs_false_read_none(self, rendered):
+        clean = Session().run(stress_programs(4, iterations=3)).detection
+        off = Session(generate_outputs=False).run(
+            wildcard_deadlock_programs(8)
+        ).detection
+        assert off.has_deadlock and not clean.has_deadlock
+        for record in (clean, off):
+            assert record.dot_text is None
+            assert record.html_report is None
+            assert record.json_report is None
+        assert off.flight_tails == {}
+        assert "output_generation" not in clean.timers.breakdown()
+        assert rendered == []
+
+    def test_sharded_reports_are_read_after_the_workers_exited(self):
+        programs = lammps_skeleton_programs(12)
+        inline = Session(seed=3).run(programs).detection
+        with Session(seed=3, backend="sharded", shards=2) as session:
+            sharded = session.run(programs).detection
+        assert sharded.dot_text == inline.dot_text
+        # The tails were gathered from the workers' rings while they
+        # ran (their clocks and sequence numbers are the workers' own).
+        assert sorted(sharded.flight_tails) == list(range(12))
+        for rank, tail in sharded.flight_tails.items():
+            assert tail[-1]["event"] == "blocked@detection"
+            assert f"<h3>Rank {rank} ({len(tail)} event(s))</h3>" in (
+                sharded.html_report
+            )
+        doc, want = dict(sharded.json_report), dict(inline.json_report)
+        assert doc.pop("flight_tails") == {
+            str(rank): tail for rank, tail in sharded.flight_tails.items()
+        }
+        del want["flight_tails"]
+        assert doc == want
+
+    def test_reports_survive_the_sessions_next_job(self):
+        session = Session()
+        first = session.run(lammps_skeleton_programs(12)).detection
+        expected = Session().run(lammps_skeleton_programs(12)).detection
+        session.reset()
+        second = session.run(wildcard_deadlock_programs(8)).detection
+        assert second.html_report != expected.html_report
+        # Rendered only now, with the first job's tails and blame chain.
+        assert first.flight_tails == expected.flight_tails != {}
+        assert first.html_report == expected.html_report
+        assert first.json_report == expected.json_report
 
 
 class TestRemovedLegacyNames:

@@ -18,7 +18,7 @@ from repro.docs import (
 #: consolidation target list), plus the serve envelope itself.
 EXPECTED_FAMILIES = {
     "witness", "blame", "classify", "prove", "profile", "live",
-    "lint", "verify", "stats", "figures", "serve",
+    "lint", "verify", "stats", "figures", "serve", "deadlock-report",
 }
 
 
@@ -46,6 +46,24 @@ class TestRegistry:
         assert BLAME_FORMAT == "repro-blame/1" == format_tag("blame")
         assert LIVE_FORMAT == "repro-live/1" == format_tag("live")
         assert PROFILE_FORMAT == "repro-profile/1" == format_tag("profile")
+
+    def test_no_format_tag_is_written_by_hand(self):
+        """Writers stamp through `doc_header`: a tag spelled out as a
+        string constant would drift from the registry's version."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        by_hand = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant)
+            and parse_format(node.value) is not None
+        ]
+        assert by_hand == []
 
 
 class TestParseFormat:

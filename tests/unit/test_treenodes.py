@@ -1,4 +1,9 @@
 """Interior/root node behaviour and protocol error paths."""
+import functools
+import importlib
+import inspect
+import typing
+
 import pytest
 
 from repro.core.distributed import FirstLayerNode
@@ -251,3 +256,34 @@ class TestFirstLayerDispatch:
             NewOpMsg, RankDoneMsg, PassSend, RecvActive, RecvActiveAck,
             CollectiveAck, RequestConsistentState, Ping, Pong, RequestWaits,
         }
+
+
+@pytest.mark.parametrize("module_name", [
+    "repro.core.treenodes", "repro.core.detector",
+    "repro.wfg.dot", "repro.wfg.report",
+])
+def test_every_annotation_resolves(module_name):
+    """An annotation naming something the module never imported (the
+    root's ``Optional[Network]``) passes at run time under ``from
+    __future__ import annotations`` and fails whoever reads the hints."""
+    module = importlib.import_module(module_name)
+
+    def functions(owner):
+        for value in vars(owner).values():
+            if isinstance(value, property):
+                value = value.fget
+            elif isinstance(value, functools.cached_property):
+                value = value.func
+            elif isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            if inspect.isfunction(value) and value.__module__ == module_name:
+                yield value
+
+    checked = list(functions(module))
+    for cls in vars(module).values():
+        if inspect.isclass(cls) and cls.__module__ == module_name:
+            typing.get_type_hints(cls)
+            checked.extend(functions(cls))
+    assert checked
+    for function in checked:
+        typing.get_type_hints(function)
