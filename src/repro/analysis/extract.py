@@ -2,10 +2,14 @@
 
 Rank programs are generators, so their operation sequences can be
 obtained *without* the engine by driving each generator with stubbed
-call results. For deterministic programs (no wildcard receives, no
+call results. Each call is recorded by the same
+:class:`~repro.runtime.recording.CallRecorder` the engine records
+with, so for deterministic programs (no wildcard receives, no
 probes/tests whose outcome steers control flow) the extracted
-sequences are exactly the sequences the engine would record; the
+sequences are the sequences the engine records; the
 :class:`Extraction` tracks whether that guarantee holds (``exact``).
+What is this module's own is the driving: the stubbed results, and
+telling the recorder a request completed only where the stub said so.
 
 Only the communicator-management collectives need cross-rank lockstep:
 their results (:class:`~repro.mpi.communicator.Communicator` objects)
@@ -18,7 +22,8 @@ continues immediately — blocking behaviour is the matcher's concern
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Generator, List, Mapping, Sequence
+from typing import Set, Tuple
 
 from repro.analysis.matchcore import runtime_steered
 from repro.checks.findings import CheckFinding, Severity
@@ -33,14 +38,19 @@ from repro.mpi.constants import (
 )
 from repro.mpi.ops import Operation
 from repro.runtime.program import Call, Rank, Status
+from repro.runtime.recording import (
+    NOT_DONE,
+    CallRecorder,
+    RequestMisuse,
+    comm_results,
+    proc_null_result,
+    request_result,
+)
+from repro.util.errors import MpiUsageError
 
 #: Comm-management collectives whose results matter structurally.
 _COMM_MGMT = frozenset(
     {OpKind.COMM_DUP, OpKind.COMM_SPLIT, OpKind.COMM_CREATE}
-)
-
-_ISEND_KINDS = frozenset(
-    {OpKind.ISEND, OpKind.ISSEND, OpKind.IBSEND, OpKind.IRSEND}
 )
 
 
@@ -50,8 +60,11 @@ class Extraction:
 
     sequences: List[List[Operation]]
     comms: CommRegistry
-    #: Whether the sequences provably equal what the engine would
-    #: record (no fabricated result could have steered control flow).
+    #: Whether the sequences provably equal what the engine records (no
+    #: fabricated result could have steered control flow) — for the
+    #: programs the engine runs. One that misuses a persistent request
+    #: is refused there (``MpiUsageError``) and extracted here anyway:
+    #: ``check_request_typestate`` reports the misuse from the sequence.
     exact: bool
     #: Weaker guarantee for the match-set explorer: the sequences are
     #: exact *except* that wildcard receive/probe statuses were
@@ -78,41 +91,27 @@ class Extraction:
 
 
 @dataclass
-class _PersistentInfo:
-    is_send: bool
-    peer: int
-    tag: int
-    comm_id: int
-    nbytes: int
-    active_instance: Optional[int] = None
-
-
-@dataclass
 class _RankDriver:
-    rank: int
-    gen: Iterator[Call]
-    ops: List[Operation] = field(default_factory=list)
-    next_req: int = 0
+    recorder: CallRecorder
+    gen: Generator[Call, object, object]
     #: Pending result for the next ``gen.send`` (None before first step).
     inbox: object = None
     started: bool = False
     done: bool = False
     parked: bool = False
-    #: Request id -> (is_recv, peer, tag) for wait-status fabrication.
-    recv_requests: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    persistent: Dict[int, _PersistentInfo] = field(default_factory=dict)
+    #: Receive request id -> the status a Wait on it will fabricate.
+    recv_statuses: Dict[int, Status] = field(default_factory=dict)
 
 
-class _WaveState:
-    """One pending comm-management wave on one communicator."""
-
-    def __init__(self, comm_id: int) -> None:
-        self.comm_id = comm_id
-        self.arrived: Dict[int, Call] = {}
+#: Per parent communicator, the members parked at its pending
+#: comm-management wave and the call each arrived with.
+_Waves = Dict[int, Dict[int, Tuple[_RankDriver, Call]]]
 
 
 def extract_programs(
-    programs: Sequence, *, max_ops_per_rank: int = 50_000
+    programs: Sequence[Callable[[Rank], Generator[Call, Any, Any]]],
+    *,
+    max_ops_per_rank: int = 50_000,
 ) -> Extraction:
     """Drive ``programs`` with stub results and collect their sequences.
 
@@ -123,15 +122,13 @@ def extract_programs(
     """
     p = len(programs)
     comms = CommRegistry(p)
-    drivers: List[_RankDriver] = []
-    for i, prog in enumerate(programs):
-        handle = Rank(i, comms.world)
-        drivers.append(_RankDriver(rank=i, gen=prog(handle)))
-    ext = Extraction(sequences=[d.ops for d in drivers], comms=comms,
-                     exact=True)
-    # Side table for wave resolution (not part of the public result).
-    ext._drivers = drivers  # type: ignore[attr-defined]
-    waves: Dict[int, _WaveState] = {}
+    drivers = [
+        _RankDriver(CallRecorder(i), prog(Rank(i, comms.world)))
+        for i, prog in enumerate(programs)
+    ]
+    ext = Extraction(sequences=[d.recorder.ops for d in drivers],
+                     comms=comms, exact=True)
+    waves: _Waves = {}
 
     progressed = True
     while progressed:
@@ -146,22 +143,11 @@ def extract_programs(
     # complete (some member diverged or hung before arriving).
     for driver in drivers:
         if driver.parked:
-            ext.truncated.add(driver.rank)
-            ext.exact = False
-            ext.wildcard_exact = False
-            ext.notes.append(
-                CheckFinding(
-                    check="static-extraction",
-                    severity=Severity.WARNING,
-                    rank=driver.rank,
-                    message=(
-                        "comm-management collective never completed "
-                        "during extraction (some group member diverged); "
-                        "sequence truncated"
-                    ),
-                    op=driver.ops[-1].ref if driver.ops else None,
-                    location=driver.ops[-1].location if driver.ops else "",
-                )
+            _truncate(
+                driver, ext,
+                "comm-management collective never completed "
+                "during extraction (some group member diverged); "
+                "sequence truncated",
             )
     return ext
 
@@ -169,7 +155,7 @@ def extract_programs(
 def _drive_until_park(
     driver: _RankDriver,
     ext: Extraction,
-    waves: Dict[int, _WaveState],
+    waves: _Waves,
     max_ops: int,
 ) -> bool:
     """Advance one rank until it parks, finishes, or errors.
@@ -177,8 +163,9 @@ def _drive_until_park(
     Returns True when at least one step was taken (progress).
     """
     progressed = False
+    ops = driver.recorder.ops
     while not (driver.done or driver.parked):
-        if len(driver.ops) >= max_ops:
+        if len(ops) >= max_ops:
             _truncate(
                 driver, ext,
                 f"extraction stopped after {max_ops} operations "
@@ -217,17 +204,18 @@ def _drive_until_park(
 
 def _truncate(driver: _RankDriver, ext: Extraction, message: str) -> None:
     driver.done = True
-    ext.truncated.add(driver.rank)
+    rank, ops = driver.recorder.rank, driver.recorder.ops
+    ext.truncated.add(rank)
     ext.exact = False
     ext.wildcard_exact = False
     ext.notes.append(
         CheckFinding(
             check="static-extraction",
             severity=Severity.WARNING,
-            rank=driver.rank,
+            rank=rank,
             message=message,
-            op=driver.ops[-1].ref if driver.ops else None,
-            location=driver.ops[-1].location if driver.ops else "",
+            op=ops[-1].ref if ops else None,
+            location=ops[-1].location if ops else "",
         )
     )
 
@@ -236,272 +224,122 @@ def _step(
     driver: _RankDriver,
     call: Call,
     ext: Extraction,
-    waves: Dict[int, _WaveState],
+    waves: _Waves,
 ) -> None:
-    """Record one call and stub its result (mirrors the engine)."""
-    kind = call.kind
-    if kind in (OpKind.SEND_INIT, OpKind.RECV_INIT):
-        _record_init(driver, call)
-        return
-    if kind in (OpKind.PSTART_SEND, OpKind.PSTART_RECV):
-        _record_start(driver, call, ext)
-        return
-    op = _record(driver, call)
+    """Record one call and stub the result the program resumes with."""
+    try:
+        op = driver.recorder.record(call)
+    except RequestMisuse as misuse:
+        # ``check_request_typestate`` is what tells the user, from the
+        # sequence: keep recording while there is something to record.
+        if misuse.op is None:
+            _truncate(
+                driver, ext,
+                f"MPI_Start on unknown persistent request "
+                f"{call.requests[0]}",
+            )
+            return
+        op = misuse.op
+    kind = op.kind
     if runtime_steered(kind):
         # The stubbed result may diverge from a real execution.
         ext.exact = False
         ext.wildcard_exact = False
-    if op.is_recv() or op.is_probe():
-        if op.peer == ANY_SOURCE or op.tag == ANY_TAG:
+    if kind.p2p:
+        peer, request = op.peer, op.request
+        assert peer is not None  # Operation refuses a p2p kind without
+        if (kind.recv or kind.probe) and (
+            peer == ANY_SOURCE or op.tag == ANY_TAG
+        ):
             # Wildcard statuses are fabricated markers (below); the
             # sequences stay usable for wildcard-aware exploration.
             ext.exact = False
-
-    if op.is_p2p() and op.peer == PROC_NULL:
-        driver.inbox = _proc_null_result(driver, op)
-        return
-    if kind in (OpKind.SEND, OpKind.SSEND, OpKind.BSEND, OpKind.RSEND):
-        driver.inbox = None
-    elif kind in (OpKind.RECV, OpKind.PROBE):
-        # Wildcard envelopes keep their ANY_SOURCE/ANY_TAG markers: the
-        # true source/tag is a runtime matching decision, and silently
-        # pinning it (to, say, source 0) would fabricate a plausible but
-        # wrong value that programs could branch on undetected.
-        driver.inbox = Status(op.peer, op.tag, op.nbytes)
-    elif kind is OpKind.IPROBE:
-        driver.inbox = (False, None)
-    elif kind in _ISEND_KINDS:
+        if peer == PROC_NULL:
+            driver.inbox = proc_null_result(op)
+        elif kind is OpKind.RECV or kind is OpKind.PROBE:
+            # Wildcard envelopes keep their ANY_SOURCE/ANY_TAG markers:
+            # the true source/tag is a runtime matching decision, and
+            # silently pinning it (to, say, source 0) would fabricate a
+            # plausible but wrong value that programs could branch on
+            # undetected.
+            driver.inbox = Status(peer, op.tag, op.nbytes)
+        elif kind is OpKind.IPROBE:
+            driver.inbox = (False, None)
+        elif request is not None:
+            # A directed receive request gets a status at its Wait (as
+            # found: a started Recv_init with ANY_TAG does, an Irecv
+            # with ANY_TAG does not).
+            if kind.recv and peer != ANY_SOURCE and (
+                kind is OpKind.PSTART_RECV or op.tag != ANY_TAG
+            ):
+                driver.recv_statuses[request] = Status(peer, op.tag, 0)
+            driver.inbox = request_result(op)
+    elif kind is OpKind.SEND_INIT or kind is OpKind.RECV_INIT:
         driver.inbox = op.request
-    elif kind is OpKind.IRECV:
-        if op.peer != ANY_SOURCE and op.tag != ANY_TAG:
-            driver.recv_requests[op.request] = (op.peer, op.tag)
-        driver.inbox = op.request
-    elif kind is OpKind.REQUEST_FREE:
-        for handle in op.requests:
-            info = driver.persistent.get(handle)
-            if info is not None and info.active_instance is None:
-                del driver.persistent[handle]
-        driver.inbox = None
     elif is_completion_kind(kind):
         driver.inbox = _completion_result(driver, op)
     elif kind in _COMM_MGMT:
-        _arrive_comm_mgmt(driver, call, op, ext, waves)
-    elif is_collective_kind(kind) or kind is OpKind.FINALIZE:
-        driver.inbox = None
-    else:
+        _arrive_comm_mgmt(driver, call, ext, waves)
+    elif not (
+        is_collective_kind(kind)
+        or kind is OpKind.REQUEST_FREE
+        or kind is OpKind.FINALIZE
+    ):
         _truncate(driver, ext, f"cannot extract {kind.value}")
 
 
-def _record(driver: _RankDriver, call: Call) -> Operation:
-    request: Optional[int] = None
-    if call.kind in _ISEND_KINDS or call.kind is OpKind.IRECV:
-        request = driver.next_req
-        driver.next_req += 1
-    requests = call.requests
-    if is_completion_kind(call.kind) and requests:
-        requests = _translate_requests(driver, requests)
-    op = Operation(
-        kind=call.kind,
-        rank=driver.rank,
-        ts=len(driver.ops),
-        comm_id=call.comm.comm_id,
-        peer=call.peer,
-        tag=call.tag,
-        root=call.root,
-        request=request,
-        requests=requests,
-        nbytes=call.nbytes,
-        sendrecv_group=call.sendrecv_group,
-        location=call.location,
-    )
-    driver.ops.append(op)
-    return op
-
-
-def _translate_requests(
-    driver: _RankDriver, requests: Tuple[int, ...]
-) -> Tuple[int, ...]:
-    """Map persistent handles to active Start instances (engine rule)."""
-    translated = []
-    for req in requests:
-        info = driver.persistent.get(req)
-        if info is not None and info.active_instance is not None:
-            translated.append(info.active_instance)
-        else:
-            translated.append(req)
-    return tuple(translated)
-
-
-def _record_init(driver: _RankDriver, call: Call) -> None:
-    handle = driver.next_req
-    driver.next_req += 1
-    op = Operation(
-        kind=call.kind,
-        rank=driver.rank,
-        ts=len(driver.ops),
-        comm_id=call.comm.comm_id,
-        peer=call.peer,
-        tag=call.tag,
-        nbytes=call.nbytes,
-        request=handle,
-        location=call.location,
-    )
-    driver.ops.append(op)
-    driver.persistent[handle] = _PersistentInfo(
-        is_send=call.kind is OpKind.SEND_INIT,
-        peer=call.peer,  # type: ignore[arg-type]
-        tag=call.tag,
-        comm_id=call.comm.comm_id,
-        nbytes=call.nbytes,
-    )
-    driver.inbox = handle
-
-
-def _record_start(
-    driver: _RankDriver, call: Call, ext: Extraction
-) -> None:
-    handle = call.requests[0] if call.requests else None
-    info = driver.persistent.get(handle)
-    if info is None:
-        _truncate(
-            driver, ext,
-            f"MPI_Start on unknown persistent request {handle}",
-        )
-        return
-    instance = driver.next_req
-    driver.next_req += 1
-    kind = OpKind.PSTART_SEND if info.is_send else OpKind.PSTART_RECV
-    op = Operation(
-        kind=kind,
-        rank=driver.rank,
-        ts=len(driver.ops),
-        comm_id=info.comm_id,
-        peer=info.peer,
-        tag=info.tag,
-        nbytes=info.nbytes,
-        request=instance,
-        requests=(handle,),
-        location=call.location,
-    )
-    driver.ops.append(op)
-    info.active_instance = instance
-    if not info.is_send and info.peer not in (ANY_SOURCE, PROC_NULL):
-        driver.recv_requests[instance] = (info.peer, info.tag)
-    driver.inbox = None
-
-
-def _proc_null_result(driver: _RankDriver, op: Operation) -> object:
-    status = Status(PROC_NULL, ANY_TAG, 0)
-    if op.kind is OpKind.IPROBE:
-        return (True, status)
-    if op.request is not None:
-        return op.request
-    if op.is_recv() or op.is_probe():
-        return status
-    return None
-
-
-def _request_status(driver: _RankDriver, req: int) -> Optional[Status]:
-    info = driver.recv_requests.get(req)
-    if info is None:
-        return None
-    peer, tag = info
-    return Status(peer, tag, 0)
-
-
 def _completion_result(driver: _RankDriver, op: Operation) -> object:
+    """The stubbed result, and the requests it reports as done — those
+    and no others are completed, or the sequence would name requests
+    no run of the program names."""
     kind = op.kind
-    statuses = tuple(_request_status(driver, r) for r in op.requests)
-    for req in op.requests:
-        for info in driver.persistent.values():
-            if info.active_instance == req:
-                info.active_instance = None
+    if kind.test:
+        return NOT_DONE[kind]
+    done = op.requests[:1] if kind is OpKind.WAITANY else op.requests
+    for req in done:
+        driver.recorder.complete(req)
+    statuses = tuple(driver.recv_statuses.get(r) for r in op.requests)
     if kind is OpKind.WAIT:
         return statuses[0]
     if kind is OpKind.WAITALL:
         return statuses
     if kind is OpKind.WAITANY:
         return (0, statuses[0])
-    if kind is OpKind.WAITSOME:
-        return (tuple(range(len(statuses))), statuses)
-    if kind is OpKind.TEST:
-        return (False, None)
-    if kind is OpKind.TESTALL:
-        return (False, None)
-    if kind is OpKind.TESTANY:
-        return (False, None, None)
-    if kind is OpKind.TESTSOME:
-        return ((), ())
-    raise AssertionError(kind)
+    return (tuple(range(len(statuses))), statuses)  # WAITSOME
 
 
 def _arrive_comm_mgmt(
-    driver: _RankDriver,
-    call: Call,
-    op: Operation,
-    ext: Extraction,
-    waves: Dict[int, _WaveState],
+    driver: _RankDriver, call: Call, ext: Extraction, waves: _Waves
 ) -> None:
     comm_id = call.comm.comm_id
-    wave = waves.get(comm_id)
-    if wave is None:
-        wave = _WaveState(comm_id)
-        waves[comm_id] = wave
-    wave.arrived[driver.rank] = call
+    arrived = waves.setdefault(comm_id, {})
+    arrived[driver.recorder.rank] = (driver, call)
     driver.parked = True
-    group = set(call.comm.group)
-    if set(wave.arrived) != group:
+    if set(arrived) != set(call.comm.group):
         return
     del waves[comm_id]
-    _resolve_wave(wave, ext)
-
-
-def _resolve_wave(wave: _WaveState, ext: Extraction) -> None:
-    """All members arrived: compute real communicator results."""
-    kinds = {c.kind for c in wave.arrived.values()}
-    results: Dict[int, object]
-    if len(kinds) != 1:
-        # Mismatched wave — the consistency checker reports it; feed
-        # None so extraction can continue past the error.
+    # All members arrived: hand out real communicators. A wave of mixed
+    # kinds or of differing Comm_create groups is the consistency
+    # checker's to report; everyone gets None so extraction can
+    # continue past the error.
+    results: Mapping[int, object] = {}
+    if len({c.kind for _, c in arrived.values()}) == 1:
+        try:
+            results = comm_results(
+                ext.comms, call.kind, comm_id,
+                {
+                    r: c.color if c.kind is OpKind.COMM_SPLIT
+                    else c.group or ()
+                    for r, (_, c) in arrived.items()
+                },
+            )
+        except MpiUsageError:
+            pass
+    if not results:
         ext.exact = False
         ext.wildcard_exact = False
-        results = {r: None for r in wave.arrived}
-    else:
-        (kind,) = kinds
-        if kind is OpKind.COMM_DUP:
-            newcomm = ext.comms.dup(wave.comm_id)
-            results = {r: newcomm for r in wave.arrived}
-        elif kind is OpKind.COMM_SPLIT:
-            colors = {r: c.color for r, c in wave.arrived.items()}
-            results = dict(ext.comms.split(wave.comm_id, colors))
-        else:  # COMM_CREATE
-            groups = {tuple(c.group or ()) for c in wave.arrived.values()}
-            if len(groups) != 1:
-                ext.exact = False
-                ext.wildcard_exact = False
-                results = {r: None for r in wave.arrived}
-            else:
-                (new_group,) = groups
-                newcomm = (
-                    ext.comms.create(new_group) if new_group else None
-                )
-                results = {
-                    r: (
-                        newcomm
-                        if newcomm is not None and r in newcomm.group
-                        else None
-                    )
-                    for r in wave.arrived
-                }
     # Unpark every member with its result; they resume on the next
     # scheduler pass.
-    for rank in wave.arrived:
-        drv = _driver_of(ext, rank)
-        drv.parked = False
-        drv.inbox = results.get(rank)
-
-
-def _driver_of(ext: Extraction, rank: int) -> _RankDriver:
-    # The Extraction's sequences list aliases each driver's op list, so
-    # drivers are reachable via a side table kept on the object.
-    return ext._drivers[rank]  # type: ignore[attr-defined]
+    for rank, (member, _) in arrived.items():
+        member.parked = False
+        member.inbox = results.get(rank)

@@ -19,8 +19,9 @@ sites when the call graph (:mod:`.cfg`) proves them non-recursive;
 exactly as the runtime does.
 
 The tree instantiates to the exact per-rank
-:class:`~repro.mpi.ops.Operation` sequences (mirroring the extractor's
-timestamp/request numbering) via :func:`instantiate`, and is the input
+:class:`~repro.mpi.ops.Operation` sequences via :func:`instantiate`
+(recorded, like the extractor's, by a
+:class:`~repro.runtime.recording.CallRecorder`), and is the input
 the fragment classifier (:mod:`.fragments`) labels per the decidable
 fragments of arXiv:0709.3689 / arXiv:0709.3692.
 
@@ -32,6 +33,7 @@ loop was the obstacle) rather than guessing.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -51,6 +53,7 @@ from repro.analysis.symbolic.sexpr import (
     const,
 )
 from repro.checks.findings import CheckFinding, Severity
+from repro.mpi.communicator import CommRegistry, Communicator
 from repro.mpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -60,6 +63,8 @@ from repro.mpi.constants import (
     is_send_kind,
 )
 from repro.mpi.ops import Operation
+from repro.runtime.program import Call
+from repro.runtime.recording import CallRecorder
 
 #: Constant-bound loops up to this trip count are unrolled with the
 #: loop variable substituted; larger/symbolic bounds go through body
@@ -1186,20 +1191,26 @@ def summarize_source(source: str, filename: str) -> List[ProgramSummary]:
 # Instantiation
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _world(size: int) -> Communicator:
+    """The world communicator of ``size`` ranks. Every rank of a sweep
+    instantiates against the same one, and building it is O(size)."""
+    return CommRegistry(size).world
+
+
 class _Instantiator:
     def __init__(
-        self, rank: int, size: int, comm_id: int, max_ops: int,
-        filename: str,
+        self, rank: int, size: int, max_ops: int, filename: str
     ) -> None:
         self.rank = rank
         self.size = size
-        self.comm_id = comm_id
         self.max_ops = max_ops
         self.filename = filename
-        self.ops: List[Operation] = []
+        self.recorder = CallRecorder(rank)
+        self._world = _world(size)
+        #: Symbolic request id -> the id the recorder gave it.
         self._requests: Dict[int, int] = {}
         self._groups: Dict[int, int] = {}
-        self._next_request = 0
         self._next_group = 0
         self._bindings: Dict[str, int] = {}
 
@@ -1228,7 +1239,7 @@ class _Instantiator:
         self._bindings.pop(term.var, None)
 
     def _emit(self, term: SymOp) -> None:
-        if len(self.ops) >= self.max_ops:
+        if len(self.recorder.ops) >= self.max_ops:
             raise InstantiationError(
                 f"instantiation exceeded {self.max_ops} operations "
                 f"for rank {self.rank}"
@@ -1244,11 +1255,6 @@ class _Instantiator:
                     f"computes peer {peer} outside the communicator "
                     f"(size {self.size}) for rank {self.rank}"
                 )
-        request: Optional[int] = None
-        if term.makes_request is not None:
-            request = self._next_request
-            self._requests[term.makes_request] = request
-            self._next_request += 1
         try:
             requests = tuple(
                 self._requests[sym] for sym in term.requests
@@ -1260,35 +1266,35 @@ class _Instantiator:
             ) from None
         group: Optional[int] = None
         if term.group is not None:
+            # Dense per-rank numbering, as ``Rank.sendrecv`` counts.
             if term.opens_group:
                 self._groups[term.group] = self._next_group
                 self._next_group += 1
             group = self._groups[term.group]
         try:
-            op = Operation(
+            op = self.recorder.record(Call(
                 kind=term.kind,
-                rank=self.rank,
-                ts=len(self.ops),
-                comm_id=self.comm_id,
+                comm=self._world,
                 peer=peer,
                 tag=term.tag.evaluate(self.rank, self.size, self._bindings),
                 root=(
                     term.root.evaluate(self.rank, self.size, self._bindings)
                     if term.root is not None else None
                 ),
-                request=request,
                 requests=requests,
                 nbytes=term.nbytes,
                 sendrecv_group=group,
                 location=f"{self.filename}:{term.lineno}",
-            )
+            ))
         except ValueError as exc:
             raise InstantiationError(
                 f"{term.method}() at {self.filename}:{term.lineno} "
                 f"instantiates to an invalid operation for rank "
                 f"{self.rank}: {exc}"
             ) from None
-        self.ops.append(op)
+        if term.makes_request is not None:
+            assert op.request is not None
+            self._requests[term.makes_request] = op.request
 
 
 def instantiate(
@@ -1296,16 +1302,17 @@ def instantiate(
     rank: int,
     size: int,
     *,
-    comm_id: int = 0,
     max_ops: int = 50_000,
     filename: str = "",
 ) -> List[Operation]:
     """Concrete per-rank operation sequence of a term tree.
 
-    Numbering mirrors :func:`repro.analysis.extract.extract_programs`:
-    ``ts`` is the position in the sequence and request ids count
-    request-creating operations in execution order.
+    Each evaluated :class:`SymOp` is recorded by the
+    :class:`~repro.runtime.recording.CallRecorder` the extractor and
+    the engine record with, so ``ts`` and request ids are theirs by
+    construction; what this function adds is the term walk and the
+    affine evaluation of peers, tags and roots.
     """
-    walker = _Instantiator(rank, size, comm_id, max_ops, filename)
+    walker = _Instantiator(rank, size, max_ops, filename)
     walker.walk(terms)
-    return walker.ops
+    return walker.recorder.ops

@@ -202,8 +202,17 @@ class LocalChecker:
                         f"{op.kind.value} on unknown or already-"
                         f"completed request {req}",
                     )
-                else:
-                    state.live_requests.discard(req)
+            # Consume what the run observed completing: every request
+            # of a Wait/Waitall (they return no other way), the observed
+            # indices of the rest — none for a Test* that failed.
+            if op.kind.test or op.kind.any_completion:
+                done = [
+                    op.requests[i] for i in op.completed_indices
+                    if i < len(op.requests)  # a loaded trace may lie
+                ]
+            else:
+                done = list(op.requests)
+            state.live_requests.difference_update(done)
 
     # ------------------------------------------------------------------
 

@@ -84,6 +84,10 @@ def load_programs(path: str, default_ranks: int) -> List[Any]:
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
+    except SystemExit as exc:  # not an Exception: would end the caller
+        raise TraceError(
+            f"cannot import {path}: module exited during import"
+        ) from exc
     except Exception as exc:  # import errors are user input errors
         raise TraceError(f"cannot import {path}: {exc}") from exc
     programs = getattr(module, "LINT_PROGRAMS", None)

@@ -14,17 +14,23 @@ Its two products are exactly what the deadlock-detection tool consumes:
   chose at runtime, including wildcard resolutions; and
 * ground truth — whether the run *manifestly* hung, and where — which
   the test suite uses to validate detector verdicts.
+
+How a call becomes an operation record (timestamps, request ids,
+persistent handles, communicator results) is not decided here: each
+rank records through a :class:`~repro.runtime.recording.CallRecorder`,
+the same one the static extractor and the symbolic instantiator use,
+and the engine adds what only a run has — matching, blocking, and the
+decision that a request completed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping
+from typing import Optional, Sequence, Tuple
 
 from repro.mpi.blocking import BlockingSemantics
 from repro.mpi.communicator import CommRegistry
 from repro.mpi.constants import (
-    ANY_TAG,
     PROC_NULL,
     OpKind,
     is_collective_kind,
@@ -37,6 +43,14 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.runtime.matchstate import CollectiveWave, MatchState, PendingSend
 from repro.runtime.program import Call, Rank, Status
+from repro.runtime.recording import (
+    NOT_DONE,
+    PROC_NULL_STATUS,
+    CallRecorder,
+    comm_results,
+    proc_null_result,
+    request_result,
+)
 from repro.runtime.scheduler import Scheduler
 from repro.util.errors import MpiUsageError, ProtocolError, ReproError
 
@@ -60,21 +74,6 @@ class _RequestState:
     done: bool = False
     status: Optional[Status] = None
     consumed: bool = False
-
-
-@dataclass
-class _PersistentReq:
-    """An MPI persistent request handle (Send_init/Recv_init)."""
-
-    handle: int
-    rank: int
-    is_send: bool
-    comm_id: int
-    peer: int
-    tag: int
-    nbytes: int
-    #: Request id of the currently active Start instance, if any.
-    active_instance: Optional[int] = None
 
 
 @dataclass
@@ -168,14 +167,17 @@ class Engine:
         )
         self.max_steps = max_steps
 
-        self._seqs: List[List[Operation]] = [[] for _ in programs]
+        # One recorder per rank turns calls into operations; ``_seqs``
+        # aliases their lists for the paths that only read them.
+        self._recorders = [CallRecorder(r) for r in range(len(programs))]
+        self._seqs: List[List[Operation]] = [
+            rec.ops for rec in self._recorders
+        ]
         self._p2p_matches: List[Tuple[OpRef, OpRef]] = []
         self._probe_matches: List[Tuple[OpRef, OpRef]] = []
         self._coll_matches: List[Tuple[int, frozenset]] = []
         self._requests: Dict[Tuple[int, int], _RequestState] = {}
         self._req_by_op: Dict[OpRef, _RequestState] = {}
-        self._persistent: Dict[Tuple[int, int], _PersistentReq] = {}
-        self._next_req: List[int] = [0 for _ in programs]
 
         self._ranks: List[_RankState] = []
         world = self.comms.world
@@ -369,36 +371,10 @@ class Engine:
             args={"ts": op.ts},
         )
 
-    def _record(self, rank: int, call: Call) -> Operation:
-        ts = len(self._seqs[rank])
-        request: Optional[int] = None
-        if call.kind in (
-            OpKind.ISEND,
-            OpKind.ISSEND,
-            OpKind.IBSEND,
-            OpKind.IRSEND,
-            OpKind.IRECV,
-        ):
-            request = self._next_req[rank]
-            self._next_req[rank] += 1
-        requests = call.requests
-        if is_completion_kind(call.kind) and requests:
-            requests = self._translate_completion_requests(rank, requests)
-        op = Operation(
-            kind=call.kind,
-            rank=rank,
-            ts=ts,
-            comm_id=call.comm.comm_id,
-            peer=call.peer,
-            tag=call.tag,
-            root=call.root,
-            request=request,
-            requests=requests,
-            nbytes=call.nbytes,
-            sendrecv_group=call.sendrecv_group,
-            location=call.location,
-        )
-        self._seqs[rank].append(op)
+    def _issue(self, rank: int, call: Call) -> None:
+        # Misuse of a persistent request raises out of ``record`` (and
+        # out of the run) as the MpiUsageError MUST would report.
+        op = self._recorders[rank].record(call)
         bufs = self._flight_bufs
         if bufs is not None:
             buf = bufs[rank]
@@ -407,35 +383,16 @@ class Engine:
                 self.flight.trim(rank)
         if self.obs.enabled:
             self._observe_op(op)
-        return op
-
-    def _issue(self, rank: int, call: Call) -> None:
-        kind = call.kind
-        if kind in (OpKind.SEND_INIT, OpKind.RECV_INIT):
-            self._issue_persistent_init(rank, call)
-            return
-        if kind in (OpKind.PSTART_SEND, OpKind.PSTART_RECV):
-            self._issue_persistent_start(rank, call)
-            return
-        if kind is OpKind.REQUEST_FREE:
-            self._issue_request_free(rank, call)
-            return
-        op = self._record(rank, call)
+        kind = op.kind  # not the call's: a Start's comes from its handle
 
         if op.is_p2p() and op.peer == PROC_NULL:
             # Operations on MPI_PROC_NULL complete immediately, match
             # nothing, and deliver an empty status.
-            result: object = None
-            if op.is_recv() or op.is_probe():
-                result = Status(PROC_NULL, ANY_TAG, 0)
             if op.request is not None:
                 req = self._register_request(op, is_send=op.is_send())
                 req.done = True
-                req.status = Status(PROC_NULL, ANY_TAG, 0)
-                result = req.req_id
-            if kind is OpKind.IPROBE:
-                result = (True, Status(PROC_NULL, ANY_TAG, 0))
-            self._resume(rank, result)
+                req.status = PROC_NULL_STATUS
+            self._resume(rank, proc_null_result(op))
             return
 
         if kind in (OpKind.SEND, OpKind.SSEND, OpKind.BSEND, OpKind.RSEND):
@@ -446,148 +403,23 @@ class Engine:
             self._issue_probe(rank, call, op)
         elif kind is OpKind.IPROBE:
             self._issue_iprobe(rank, op)
-        elif kind in (
-            OpKind.ISEND,
-            OpKind.ISSEND,
-            OpKind.IBSEND,
-            OpKind.IRSEND,
-        ):
-            self._issue_isend(rank, op)
-        elif kind is OpKind.IRECV:
-            self._issue_irecv(rank, op)
+        elif kind.nonblocking_p2p:
+            # A Start is "handled like non-blocking point-to-point
+            # operations" (Section 3.1).
+            if kind.send:
+                self._issue_isend(rank, op)
+            else:
+                self._issue_irecv(rank, op)
         elif is_completion_kind(kind):
             self._issue_completion(rank, call, op)
         elif is_collective_kind(kind) or kind is OpKind.FINALIZE:
             self._issue_collective(rank, call, op)
+        elif kind in (
+            OpKind.SEND_INIT, OpKind.RECV_INIT, OpKind.REQUEST_FREE
+        ):
+            self._resume(rank, op.request)  # the new handle, or nothing
         else:
             raise MpiUsageError(f"engine cannot execute {kind}")
-
-    # -- persistent communication ---------------------------------------
-
-    def _issue_persistent_init(self, rank: int, call: Call) -> None:
-        handle = self._next_req[rank]
-        self._next_req[rank] += 1
-        ts = len(self._seqs[rank])
-        op = Operation(
-            kind=call.kind,
-            rank=rank,
-            ts=ts,
-            comm_id=call.comm.comm_id,
-            peer=call.peer,
-            tag=call.tag,
-            nbytes=call.nbytes,
-            request=handle,
-            location=call.location,
-        )
-        self._seqs[rank].append(op)
-        if self.obs.enabled:
-            self._observe_op(op)
-        self._persistent[(rank, handle)] = _PersistentReq(
-            handle=handle,
-            rank=rank,
-            is_send=call.kind is OpKind.SEND_INIT,
-            comm_id=call.comm.comm_id,
-            peer=call.peer,  # type: ignore[arg-type]
-            tag=call.tag,
-            nbytes=call.nbytes,
-        )
-        self._resume(rank, handle)
-
-    def _get_persistent(self, rank: int, handle: int) -> _PersistentReq:
-        preq = self._persistent.get((rank, handle))
-        if preq is None:
-            raise MpiUsageError(
-                f"rank {rank}: {handle} is not a persistent request"
-            )
-        return preq
-
-    def _issue_persistent_start(self, rank: int, call: Call) -> None:
-        preq = self._get_persistent(rank, call.requests[0])
-        if preq.active_instance is not None:
-            raise MpiUsageError(
-                f"rank {rank}: MPI_Start on already-active persistent "
-                f"request {preq.handle}"
-            )
-        instance = self._next_req[rank]
-        self._next_req[rank] += 1
-        ts = len(self._seqs[rank])
-        kind = OpKind.PSTART_SEND if preq.is_send else OpKind.PSTART_RECV
-        op = Operation(
-            kind=kind,
-            rank=rank,
-            ts=ts,
-            comm_id=preq.comm_id,
-            peer=preq.peer,
-            tag=preq.tag,
-            nbytes=preq.nbytes,
-            request=instance,
-            requests=(preq.handle,),
-            location=call.location,
-        )
-        self._seqs[rank].append(op)
-        if self.obs.enabled:
-            self._observe_op(op)
-        preq.active_instance = instance
-        if op.peer == PROC_NULL:
-            req = self._register_request(op, is_send=preq.is_send)
-            req.done = True
-            req.status = Status(PROC_NULL, ANY_TAG, 0)
-            self._resume(rank, None)
-            return
-        if preq.is_send:
-            req = self._register_request(op, is_send=True)
-            buffered = self._send_buffers(op)
-            send, recv = self.match.post_send(op, buffered)
-            if buffered:
-                req.done = True
-            if recv is not None:
-                self._on_pair(send, recv.ref)
-            self._resume(rank, None)
-            self._notify_probe_waiters(op.comm_id, op.peer)
-        else:
-            req = self._register_request(op, is_send=False)
-            recv, send = self.match.post_recv(op)
-            if send is not None:
-                self._on_pair(send, recv.ref)
-            self._resume(rank, None)
-
-    def _issue_request_free(self, rank: int, call: Call) -> None:
-        preq = self._get_persistent(rank, call.requests[0])
-        if preq.active_instance is not None:
-            raise MpiUsageError(
-                f"rank {rank}: MPI_Request_free on active persistent "
-                f"request {preq.handle}"
-            )
-        del self._persistent[(rank, preq.handle)]
-        ts = len(self._seqs[rank])
-        self._seqs[rank].append(
-            Operation(
-                kind=OpKind.REQUEST_FREE,
-                rank=rank,
-                ts=ts,
-                requests=(preq.handle,),
-                location=call.location,
-            )
-        )
-        self._resume(rank, None)
-
-    def _translate_completion_requests(
-        self, rank: int, requests: Tuple[int, ...]
-    ) -> Tuple[int, ...]:
-        """Map persistent handles to their active Start instances."""
-        translated = []
-        for req_id in requests:
-            preq = self._persistent.get((rank, req_id))
-            if preq is None:
-                translated.append(req_id)
-                continue
-            if preq.active_instance is None:
-                raise MpiUsageError(
-                    f"rank {rank}: completion on inactive persistent "
-                    f"request {req_id}"
-                )
-            translated.append(preq.active_instance)
-        return tuple(translated)
 
     # -- sends / receives -------------------------------------------------
 
@@ -626,15 +458,15 @@ class Engine:
             req.done = True
         if recv is not None:
             self._on_pair(send, recv.ref)
-        self._resume(rank, req.req_id)
+        self._resume(rank, request_result(op))
         self._notify_probe_waiters(op.comm_id, op.peer)  # type: ignore[arg-type]
 
     def _issue_irecv(self, rank: int, op: Operation) -> None:
-        req = self._register_request(op, is_send=False)
+        self._register_request(op, is_send=False)
         recv, send = self.match.post_recv(op)
         if send is not None:
             self._on_pair(send, recv.ref)
-        self._resume(rank, req.req_id)
+        self._resume(rank, request_result(op))
 
     def _issue_probe(self, rank: int, call: Call, op: Operation) -> None:
         cand = self.match.probe_candidate(
@@ -745,38 +577,21 @@ class Engine:
             self._park(rank, call, op.ref)
         else:
             # Test flavours never block: deliver the "not done" result.
-            self._resume(rank, self._test_failure_result(op))
-
-    @staticmethod
-    def _test_failure_result(op: Operation) -> object:
-        if op.kind is OpKind.TEST:
-            return (False, None)
-        if op.kind is OpKind.TESTALL:
-            return (False, None)
-        if op.kind is OpKind.TESTANY:
-            return (False, None, None)
-        if op.kind is OpKind.TESTSOME:
-            return ((), ())
-        raise AssertionError(op.kind)
-
-    def _release_persistent_instance(self, rank: int, instance: int) -> None:
-        """A completed Start instance deactivates its persistent handle."""
-        for preq in self._persistent.values():
-            if preq.rank == rank and preq.active_instance == instance:
-                preq.active_instance = None
-                return
+            self._resume(rank, NOT_DONE[op.kind])
 
     def _try_completion(self, rank: int, op: Operation) -> bool:
         """Attempt to satisfy a WAIT*/TEST*; True if the rank resumed."""
         reqs = [self._get_request(rank, r) for r in op.requests]
         done_idx = [i for i, r in enumerate(reqs) if r.done]
         kind = op.kind
+        # Consuming a request is what deactivates a persistent handle.
+        complete = self._recorders[rank].complete
         if kind in (OpKind.WAIT, OpKind.WAITALL, OpKind.TEST, OpKind.TESTALL):
             if len(done_idx) != len(reqs):
                 return False
             for r in reqs:
                 r.consumed = True
-                self._release_persistent_instance(rank, r.req_id)
+                complete(r.req_id)
             op.completed_indices = tuple(range(len(reqs)))
             op.test_flag = True
             statuses = tuple(r.status for r in reqs)
@@ -794,7 +609,7 @@ class Engine:
                 return False
             idx = done_idx[0]
             reqs[idx].consumed = True
-            self._release_persistent_instance(rank, reqs[idx].req_id)
+            complete(reqs[idx].req_id)
             op.completed_indices = (idx,)
             op.test_flag = True
             if kind is OpKind.WAITANY:
@@ -807,7 +622,7 @@ class Engine:
                 return False
             for i in done_idx:
                 reqs[i].consumed = True
-                self._release_persistent_instance(rank, reqs[i].req_id)
+                complete(reqs[i].req_id)
             op.completed_indices = tuple(done_idx)
             op.test_flag = True
             statuses = tuple(reqs[i].status for i in done_idx)
@@ -900,7 +715,9 @@ class Engine:
         if not waiters:
             del self._wave_waiters[key]
 
-    def _complete_wave(self, wave: CollectiveWave) -> Dict[int, object]:
+    def _complete_wave(
+        self, wave: CollectiveWave
+    ) -> Mapping[int, object]:
         """Record the collective match and wake parked participants.
 
         Returns the per-rank results so the caller (the arrival that
@@ -912,27 +729,10 @@ class Engine:
             # synchronizes the execution but takes part in no matching.
             members = frozenset(wave.arrived.values())
             self._coll_matches.append((wave.comm_id, members))
-        results: Dict[int, object]
-        if wave.kind is OpKind.COMM_DUP:
-            newcomm = self.comms.dup(wave.comm_id)
-            results = {r: newcomm for r in wave.arrived}
-        elif wave.kind is OpKind.COMM_SPLIT:
-            colors = {r: wave.args.get(r) for r in wave.arrived}
-            results = dict(self.comms.split(wave.comm_id, colors))
-        elif wave.kind is OpKind.COMM_CREATE:
-            groups = {tuple(g) for g in wave.args.values()}
-            if len(groups) != 1:
-                raise MpiUsageError(
-                    "MPI_Comm_create called with differing groups"
-                )
-            (group,) = groups
-            newcomm = self.comms.create(group) if group else None
-            results = {
-                r: (newcomm if newcomm and r in newcomm.group else None)
-                for r in wave.arrived
-            }
-        else:
-            results = {r: None for r in wave.arrived}
+        assert wave.kind is not None
+        results = comm_results(
+            self.comms, wave.kind, wave.comm_id, wave.args
+        )
         key = (wave.comm_id, wave.index)
         waiters = self._wave_waiters.pop(key, {})
         for r in waiters:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from types import FrameType
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, OpKind
@@ -52,7 +53,7 @@ def _callsite() -> str:
     builders, the ``sendrecv`` decomposition) never show up as the
     source of an MPI call; findings then point at application code.
     """
-    frame = sys._getframe(1)
+    frame: Optional[FrameType] = sys._getframe(1)
     while frame is not None and (
         frame.f_code.co_filename == __file__
         # Skip synthesized frames (the dataclass-generated __init__).

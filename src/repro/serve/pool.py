@@ -148,6 +148,11 @@ class WorkerPool:
         except Exception as exc:
             job.error = str(exc)
             job.state = FAILED
+        except SystemExit as exc:
+            # An uploaded program called sys.exit(): that ends the job,
+            # not the worker thread every later job needs.
+            job.error = f"program exited (exit code {exc.code!r})"
+            job.state = FAILED
         finally:
             current["job"] = None
             with self._lock:

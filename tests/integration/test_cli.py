@@ -205,6 +205,32 @@ class TestLint:
         assert "proved-all-p" in out
         assert "static-deadlock" not in out
 
+    def test_failed_test_then_wait_on_a_persistent_request_is_clean(
+        self, tmp_path, capsys
+    ):
+        # The extractor once released the handle at the Test it had
+        # just answered "not done" and reported the Start as leaked.
+        src = tmp_path / "start_test_wait.py"
+        src.write_text(
+            "def program(rank):\n"
+            "    peer = 1 - rank.rank\n"
+            "    if rank.rank == 0:\n"
+            "        h = yield rank.send_init(peer, tag=5)\n"
+            "    else:\n"
+            "        h = yield rank.recv_init(peer, tag=5)\n"
+            "    yield rank.start(h)\n"
+            "    flag, _ = yield rank.test(h)\n"
+            "    if not flag:\n"
+            "        yield rank.wait(h)\n"
+            "    yield rank.request_free(h)\n"
+            "    yield rank.finalize()\n"
+        )
+        code = main(["lint", "-n", "2", str(src)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "static-request-leak" not in out
+        assert "0 error(s), 1 warning(s)/note(s)" in out  # the fragment note
+
     def test_missing_path_exits_two(self, tmp_path, capsys):
         code = main(["lint", str(tmp_path / "absent.py")])
         assert code == 2

@@ -440,6 +440,41 @@ def test_job_failure_and_not_found(daemon):
         assert missing.value.code == "not-found"
 
 
+def test_a_program_that_exits_fails_its_job_not_the_worker():
+    # SystemExit is no Exception: it once ended the only worker thread,
+    # left the job "running" for good and every later job queued.
+    exits_at_import = "import sys\nsys.exit(3)\n"
+    exits_in_a_rank = (
+        "import sys\n"
+        "def worker(rank):\n"
+        "    sys.exit('bye')\n"
+        "    yield rank.finalize()\n"
+        "LINT_RANKS = 2\n"
+    )
+    service, thread = start_service(workers=1)
+    with ServeClient(service.address) as client:
+        for source, said in (
+            (exits_at_import, "module exited during import"),
+            (exits_in_a_rank, "program exited (exit code 'bye')"),
+        ):
+            hostile = client.submit(tenant="x", source=source, ranks=2)
+            after = client.submit(tenant="x", workload="fig2a", ranks=2)
+            with pytest.raises(ServeError) as excinfo:
+                client.result(hostile, wait=True, timeout=60)
+            assert excinfo.value.code == "job-failed"
+            assert said in str(excinfo.value)
+            assert client.status(hostile)["state"] == "failed"
+            done = client.result(after, wait=True, timeout=60)
+            assert done["result"]["deadlocked"] == [0, 1]
+        client.shutdown()
+    thread.join(30)
+    assert not thread.is_alive(), "daemon did not drain"
+    assert not [
+        t for t in threading.enumerate()
+        if t.name.startswith("repro-serve-worker") and t.is_alive()
+    ]
+
+
 def test_drain_rejects_new_work_and_leaves_no_workers():
     service, thread = start_service()
     with ServeClient(service.address) as client:

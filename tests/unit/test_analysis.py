@@ -9,6 +9,7 @@ from repro.analysis import (
 )
 from repro.checks.findings import Severity
 from repro.mpi.constants import ANY_SOURCE, OpKind, WORLD_COMM_ID
+from tests.conftest import run_relaxed
 
 
 def _checks(findings):
@@ -60,6 +61,22 @@ class TestExtraction:
 
         ext = extract_programs([prog] * 2)
         assert not ext.exact
+
+    def test_started_wildcard_persistent_receive_is_inexact(self):
+        # A Start is recorded like the receive it activates, wildcard
+        # included (it once skipped the check a plain Irecv gets).
+        def prog(rank):
+            if rank.rank == 0:
+                yield rank.send(1, tag=0)
+            else:
+                req = yield rank.recv_init(ANY_SOURCE, tag=0)
+                yield rank.start(req)
+                yield rank.wait(req)
+                yield rank.request_free(req)
+            yield rank.finalize()
+
+        ext = extract_programs([prog] * 2)
+        assert not ext.exact and ext.wildcard_exact
 
     def test_iprobe_result_is_inexact(self):
         def prog(rank):
@@ -121,6 +138,73 @@ class TestExtraction:
         ext = extract_programs([prog] * 2)
         assert ext.exact
         assert not check_request_typestate(ext.sequences)
+
+    @staticmethod
+    def _assert_matches_runs_that_went_the_stubbed_way(prog, went_that_way):
+        """The stub answers one way; every rank of every run the
+        runtime answered the same way must have recorded the extracted
+        sequence, request ids included."""
+        ext = extract_programs([prog] * 2)
+        assert not ext.truncated
+        assert not check_request_typestate(ext.sequences)
+        compared = 0
+        for seed in range(8):
+            res = run_relaxed([prog] * 2, seed=seed)
+            assert not res.deadlocked
+            for rank, want in enumerate(ext.sequences):
+                got = res.trace.sequence(rank)
+                if not any(went_that_way(op) for op in got):
+                    continue
+                compared += 1
+                assert [(o.kind, o.request, o.requests) for o in got] == [
+                    (o.kind, o.request, o.requests) for o in want
+                ]
+        assert compared
+
+    def test_failed_test_leaves_the_persistent_handle_active(self):
+        # The stubbed Test answers "not done": the Wait after it is on
+        # the Start instance, not on a handle the Test released.
+        def prog(rank):
+            peer = 1 - rank.rank
+            if rank.rank == 0:
+                h = yield rank.send_init(peer, tag=5)
+            else:
+                h = yield rank.recv_init(peer, tag=5)
+            yield rank.start(h)
+            flag, _ = yield rank.test(h)
+            if not flag:
+                yield rank.wait(h)
+            yield rank.request_free(h)
+            yield rank.finalize()
+
+        self._assert_matches_runs_that_went_the_stubbed_way(
+            prog, lambda op: op.kind is OpKind.TEST and not op.test_flag
+        )
+        wait = extract_programs([prog] * 2).sequences[0][3]
+        assert wait.kind is OpKind.WAIT and wait.requests == (1,)
+
+    def test_waitany_releases_only_the_index_it_reports(self):
+        def prog(rank):
+            peer = 1 - rank.rank
+            init = rank.send_init if rank.rank == 0 else rank.recv_init
+            h1 = yield init(peer, tag=1)
+            h2 = yield init(peer, tag=2)
+            yield rank.start(h1)
+            yield rank.start(h2)
+            idx, _ = yield rank.waitany([h1, h2])
+            yield rank.wait(h2 if idx == 0 else h1)
+            yield rank.request_free(h1)
+            yield rank.request_free(h2)
+            yield rank.finalize()
+
+        self._assert_matches_runs_that_went_the_stubbed_way(
+            prog,
+            lambda op: (
+                op.kind is OpKind.WAITANY and op.completed_indices == (0,)
+            ),
+        )
+        wait = extract_programs([prog] * 2).sequences[0][5]
+        assert wait.kind is OpKind.WAIT and wait.requests == (3,)
 
 
 # ----------------------------------------------------------------------

@@ -145,3 +145,44 @@ class TestTraceChecks:
         res = run_relaxed(fig2b_programs(), seed=3)
         findings = run_all_checks(res.matched)
         assert not [f for f in findings if f.severity is Severity.ERROR]
+
+    def test_waitany_then_wait_on_the_other_request_is_clean(self):
+        # The local checker once consumed every request a completion
+        # named, so the second wait was an ERROR unknown-request.
+        def receiver(r):
+            a = yield r.irecv(1, tag=1)
+            b = yield r.irecv(1, tag=2)
+            idx, _ = yield r.waitany([a, b])
+            yield r.wait(b if idx == 0 else a)
+            yield r.finalize()
+
+        def sender(r):
+            yield r.send(0, tag=1)
+            yield r.send(0, tag=2)
+            yield r.finalize()
+
+        for seed in range(4):
+            res = run_relaxed([receiver, sender], seed=seed)
+            assert not res.deadlocked
+            assert run_all_checks(res.matched) == []
+
+    def test_failed_test_then_wait_is_clean(self):
+        # Rank 1 sends tag 1 only after rank 0's send of tag 9, which
+        # follows the test: the test fails at every seed.
+        def tester(r):
+            a = yield r.irecv(1, tag=1)
+            flag, _ = yield r.test(a)
+            assert not flag
+            yield r.send(1, tag=9)
+            yield r.wait(a)
+            yield r.finalize()
+
+        def peer(r):
+            yield r.recv(0, tag=9)
+            yield r.send(0, tag=1)
+            yield r.finalize()
+
+        for seed in range(4):
+            res = run_relaxed([tester, peer], seed=seed)
+            assert not res.deadlocked
+            assert run_all_checks(res.matched) == []

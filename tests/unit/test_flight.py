@@ -119,6 +119,29 @@ class TestIntegration:
         ]
         assert blocked
 
+    def test_every_recorded_operation_has_one_issue_entry(self):
+        # Persistent operations once bypassed the flight recorder: the
+        # tail of this program was ``issue Wait, issue Finalize``.
+        def prog(r):
+            init = r.send_init if r.rank == 0 else r.recv_init
+            handle = yield init(1 - r.rank, tag=1)
+            yield r.start(handle)
+            yield r.wait(handle)
+            yield r.request_free(handle)
+            yield r.finalize()
+
+        result = run_programs(
+            [prog] * 2, semantics=BlockingSemantics.relaxed()
+        )
+        for rank in range(2):
+            ops = result.trace.sequence(rank)
+            assert len(ops) == 5
+            issued = [
+                e["detail"] for e in result.flight.tail(rank)
+                if e["event"] == "issue"
+            ]
+            assert issued == [op.describe() for op in ops]
+
     def test_engine_flight_opt_out(self):
         result = run_programs(
             _ring_programs(3),

@@ -298,6 +298,25 @@ class TestMetricsRegistry:
         assert gauge == {"value": 3.0, "max": 9.0}
 
 
+def test_engine_op_counters_cover_every_recorded_operation():
+    # MPI_Request_free once reached the trace and no counter.
+    from repro.runtime import run_programs
+
+    def prog(r):
+        init = r.send_init if r.rank == 0 else r.recv_init
+        handle = yield init(1 - r.rank, tag=1)
+        yield r.start(handle)
+        yield r.wait(handle)
+        yield r.request_free(handle)
+        yield r.finalize()
+
+    obs = make_observer()
+    result = run_programs([prog] * 2, observer=obs)
+    per_kind = obs.metrics.counters_with_prefix("engine.ops.")
+    assert per_kind["REQUEST_FREE"] == 2
+    assert sum(per_kind.values()) == result.trace.total_ops() == 10
+
+
 class TestExporters:
     def _tracer(self):
         tracer = Tracer()
