@@ -1,4 +1,4 @@
-"""The stable public facade: :class:`AnalysisConfig` + :class:`Session`.
+"""The one driver: :class:`AnalysisConfig` + :class:`Session`.
 
 One object carries the knobs that used to be scattered across
 ``run_programs`` / ``analyze_trace`` / ``detect_deadlocks_distributed``
@@ -14,8 +14,13 @@ them::
         if outcome.has_deadlock:
             print(outcome.detection.blame)
 
+Everything that runs the tool goes through it: ``repro record``,
+``analyze``, ``demo``, ``watch`` and live-mode ``blame`` build a session
+from their flags and every ``repro serve`` job runs on its worker's
+(DESIGN.md §12 lists what deliberately stays outside, and why).
+
 The session owns the observer (one metrics registry + tracer across
-record, analyze, and verify calls) and exports the configured
+record, analyze, verify, and blame calls) and exports the configured
 observability sinks once, on :meth:`Session.export` (or on leaving the
 ``with`` block). Sessions are reusable: starting a new record/analyze
 cycle resets the per-run observability state (fresh tracer, metrics,
@@ -23,22 +28,36 @@ and flight-recorder rings) so back-to-back jobs — the ``repro serve``
 worker pool runs many jobs through one session per worker — never see
 each other's events. :meth:`Session.close` releases backend resources
 on teardown.
+
+Importing this module loads the inline tool only: the virtual runtime
+comes with the first :meth:`Session.record`, the sharded backend and
+the live monitor when the config asks for them.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple, Union
 
 from repro.backend.base import AnalysisBackend, DEFAULT_SHARDS, make_backend
 from repro.core.detector import DistributedOutcome
 from repro.mpi.blocking import BlockingSemantics
 from repro.mpi.trace import MatchedTrace
 from repro.obs.flight import NULL_FLIGHT_RECORDER, FlightRecorder
-from repro.obs.health import HealthVerdict
-from repro.obs.live import LiveMonitor
 from repro.obs.observer import Observer, make_observer
-from repro.runtime import RunResult, run_programs as _run_programs
+
+if TYPE_CHECKING:
+    from repro.obs.causal import BlameReport
+    from repro.obs.health import HealthVerdict
+    from repro.obs.live import LiveMonitor
+    from repro.runtime import RunResult
+
+
+def _run_programs(programs: Sequence[Any], **options: Any) -> "RunResult":
+    """:func:`repro.runtime.run_programs`, loaded with the first run."""
+    from repro.runtime import run_programs
+
+    return run_programs(programs, **options)
 
 
 @dataclass(frozen=True)
@@ -51,10 +70,10 @@ class AnalysisConfig:
     ``detect_at`` (mid-run detection timeouts in simulated seconds —
     inline backend only) and ``detect_at_end``. Observability:
     ``observe`` turns on metrics + tracing, ``trace_out`` /
-    ``jsonl_out`` / ``profile_out`` name export sinks (any implies
-    ``observe``), ``trace_limit`` caps recorded events (None = tracer
-    default; sharded workers inherit the cap), and ``flight`` keeps
-    the always-on flight recorder. Live telemetry: ``live`` attaches a
+    ``jsonl_out`` name export sinks (either implies ``observe``),
+    ``trace_limit`` caps recorded events (None = tracer default;
+    sharded workers inherit the cap), and ``flight`` keeps the
+    always-on flight recorder. Live telemetry: ``live`` attaches a
     :class:`~repro.obs.live.LiveMonitor` (implies ``observe``) with
     snapshot cadences ``live_every_steps`` (engine) and
     ``live_every_rounds`` (sharded BSP rounds); ``live_out`` streams
@@ -74,7 +93,6 @@ class AnalysisConfig:
     observe: bool = False
     trace_out: Optional[str] = None
     jsonl_out: Optional[str] = None
-    profile_out: Optional[str] = None
     trace_limit: Optional[int] = None
     flight: bool = True
     live: bool = False
@@ -93,7 +111,7 @@ class AnalysisConfig:
     def observability_wanted(self) -> bool:
         return bool(
             self.observe or self.trace_out or self.jsonl_out
-            or self.profile_out or self.live_wanted
+            or self.live_wanted
         )
 
     def build_backend(self) -> AnalysisBackend:
@@ -146,17 +164,17 @@ class Session:
         self.flight = (
             FlightRecorder() if config.flight else NULL_FLIGHT_RECORDER
         )
-        self.live = (
-            LiveMonitor(
+        self.live = None
+        if config.live_wanted:
+            from repro.obs.live import LiveMonitor
+
+            self.live = LiveMonitor(
                 observer=self.observer,
                 every_steps=config.live_every_steps,
                 every_rounds=config.live_every_rounds,
                 feed_path=config.live_out,
                 on_snapshot=self._on_snapshot,
             )
-            if config.live_wanted
-            else None
-        )
 
     def reset(self) -> "Session":
         """Drop per-run state so the session can take a fresh job.
@@ -237,7 +255,7 @@ class Session:
             if self.last_run is None:
                 raise ValueError("nothing to analyze: record a run first")
             trace = self.last_run
-        matched = trace.matched if isinstance(trace, RunResult) else trace
+        matched = trace if isinstance(trace, MatchedTrace) else trace.matched
         outcome = self.backend.run(
             matched,
             fan_in=self.config.fan_in,
@@ -282,23 +300,34 @@ class Session:
             metrics=self.observer.metrics if self.observer.enabled else None,
         )
 
-    def blame(self, run: str, *, ranks: int = 4):
-        """Wait-state blame analysis of a recorded artifact or a
-        rank-program file (live mode, using the session's fan-in and
-        seed). Returns ``(report, outcome)``; ``outcome`` is None in
-        artifact mode."""
-        from repro.obs.blame import blame_artifact, blame_live
+    def blame(
+        self, run: Union[str, Sequence[Any]], *, ranks: int = 4
+    ) -> Tuple["BlameReport", Optional[DistributedOutcome]]:
+        """Wait-state blame analysis. Returns ``(report, outcome)``.
 
-        if run.endswith(".py"):
-            report, outcome = blame_live(
-                run,
-                ranks=ranks,
-                seed=self.config.seed,
-                fan_in=self.config.fan_in,
-            )
-            self.last_outcome = outcome
-            return report, outcome
-        return blame_artifact(run), None
+        ``run`` is a recorded artifact (``outcome`` is None), a
+        rank-program ``.py`` file (``ranks`` its default world size) or
+        what :meth:`run` accepts. Programs go through :meth:`run` and
+        are blamed from what this session's tracer saw; a session that
+        does not observe runs them on a sibling that does, on the same
+        backend.
+        """
+        from repro.obs.blame import blame_artifact, load_programs
+        from repro.obs.causal import analyze_events
+
+        if isinstance(run, str):
+            if not run.endswith(".py"):
+                return blame_artifact(run), None
+            run = load_programs(run, ranks)
+        session = self
+        if not self.observer.enabled:
+            session = Session(self.config, observe=True)
+            session.backend = self.backend
+        outcome = self.last_outcome = session.run(run)
+        report = analyze_events(
+            list(session.observer.tracer.events), num_ranks=len(run)
+        )
+        return report, outcome
 
     # -- observability export --------------------------------------------
 
@@ -320,39 +349,34 @@ class Session:
         self.last_verdict = verdict
         return verdict
 
-    def export(self) -> None:
-        """Write the configured observability sinks (idempotent)."""
+    def export(self, **metadata: Any) -> None:
+        """Write the configured observability sinks (idempotent).
+
+        The run metadata of :func:`repro.obs.exporters.export_run` is
+        read off the last outcome and run; ``metadata`` adds what the
+        session cannot know: the ``workload`` name, and ``deadlocked``
+        and ``ranks`` of a verdict reached outside it (the CLI's
+        centralized reference).
+        """
         if self._exported or not self.observer.enabled:
             return
         self._exported = True
         self.finalize_live()
-        profile = getattr(self.backend, "last_profile", None)
-        if self.config.trace_out:
-            from repro.obs.exporters import write_chrome_trace
+        from repro.obs.exporters import export_run
 
-            outcome = self.last_outcome
-            metadata = {
-                "deadlocked": bool(outcome and outcome.has_deadlock),
-                "ranks": (
-                    outcome.topology.num_ranks if outcome else None
-                ),
-                "metrics": self.observer.metrics.snapshot(),
-            }
-            if profile is not None:
-                metadata["profile"] = profile
-            write_chrome_trace(
-                self.config.trace_out, self.observer.tracer, metadata=metadata
-            )
-        if self.config.jsonl_out:
-            from repro.obs.exporters import write_jsonl
-
-            write_jsonl(self.config.jsonl_out, self.observer.tracer)
-        if self.config.profile_out:
-            import json
-
-            with open(self.config.profile_out, "w", encoding="utf-8") as fh:
-                json.dump(profile, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        outcome, run = self.last_outcome, self.last_run
+        if outcome is not None:
+            metadata.setdefault("deadlocked", outcome.has_deadlock)
+            metadata.setdefault("ranks", outcome.topology.num_ranks)
+        elif run is not None:
+            metadata.setdefault("ranks", run.trace.num_processes)
+        export_run(
+            self.observer,
+            trace_out=self.config.trace_out,
+            jsonl_out=self.config.jsonl_out,
+            profile=self.backend.last_profile,
+            **metadata,
+        )
 
     def close(self) -> None:
         """Export the configured sinks and release backend resources.

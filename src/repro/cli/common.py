@@ -1,27 +1,16 @@
 """What every ``repro`` subcommand shares.
 
 The unified ``--out/--format/--backend/--shards`` quartet and where
-``--out`` lands, the diagnosis of the spellings removed in 1.2, the
-0/1/2 exit-code contract, and the named-workload table. This module
-imports nothing of the analysis stack at module level: ``repro submit
---help`` builds its parser from here and from ``repro.cli.serve``
-alone.
+``--out`` lands, the diagnosis of the spellings removed in 1.2, and the
+0/1/2 exit-code contract. This module imports nothing of the analysis
+stack: ``repro submit --help`` builds its parser from here and from
+``repro.cli.serve`` alone.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 #: Formats ``--out`` understands, per subcommand. ``json`` is the
 #: primary machine-readable artifact everywhere; ``jsonl`` selects the
@@ -175,50 +164,3 @@ def _write_json(path: str, payload: Dict[str, Any]) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {path}")
-
-
-def _persistent_ring_programs(p: int) -> List[Any]:
-    def ring(r: Any) -> Generator[Any, Any, None]:
-        right = (r.rank + 1) % r.size
-        left = (r.rank - 1) % r.size
-        sreq = yield r.send_init(right, tag=1)
-        rreq = yield r.recv_init(left, tag=1)
-        for _ in range(5):
-            yield from r.startall([sreq, rreq])
-            yield r.waitall([sreq, rreq])
-        yield r.request_free(sreq)
-        yield r.request_free(rreq)
-        yield r.finalize()
-
-    return [ring] * p
-
-
-def _workloads() -> Dict[str, Callable[[int], List[Any]]]:
-    from repro.workloads import (
-        fig2a_programs,
-        fig2b_programs,
-        fig4_programs,
-        gapgeofem_skeleton_programs,
-        halo2d_programs,
-        lammps_skeleton_programs,
-        soft_hang_imbalance_programs,
-        straggler_collective_programs,
-        stress_programs,
-        wildcard_deadlock_programs,
-    )
-
-    return {
-        "fig2a": lambda p: fig2a_programs(),
-        "fig2b": lambda p: fig2b_programs(),
-        "fig4": lambda p: fig4_programs(),
-        "stress": lambda p: stress_programs(p, iterations=20),
-        "wildcard": wildcard_deadlock_programs,
-        "lammps": lammps_skeleton_programs,
-        "gapgeofem": lambda p: gapgeofem_skeleton_programs(p, iterations=50),
-        "halo2d": lambda p: halo2d_programs(
-            max(2, int(math.sqrt(p))), max(2, int(math.sqrt(p)))
-        ),
-        "persistent-ring": _persistent_ring_programs,
-        "soft-hang": soft_hang_imbalance_programs,
-        "straggler": straggler_collective_programs,
-    }

@@ -9,62 +9,37 @@ from typing import Optional
 from repro.cli.common import (
     _add_common_flags,
     _out_path,
-    _workloads,
     _write_json,
     exit_code,
     usage_error,
 )
 from repro.docs import REGISTRY, doc_header, sniff_path, supported_line
-from repro.obs.observer import Observer, make_observer
+from repro.obs.observer import Observer
 from repro.util.errors import TraceError
 
 
-def _make_observer(args: argparse.Namespace) -> Observer:
-    """A live observer when any ``--obs*`` flag was given, else null."""
-    wanted = bool(
-        getattr(args, "obs", False)
-        or getattr(args, "obs_trace", None)
-        or getattr(args, "obs_jsonl", None)
-    )
-    return make_observer(wanted)
-
-
-def _finish_obs(
-    observer: Observer,
+def _print_obs(
     args: argparse.Namespace,
-    *,
-    workload: Optional[str],
-    deadlocked: bool,
-    ranks: Optional[int] = None,
+    observer: Observer,
     profile: Optional[dict] = None,
 ) -> None:
-    """Export trace artifacts and print the stats summary."""
+    """Name the ``--obs*`` artifacts an observed run exported and print
+    its stats summary."""
     if not observer.enabled:
         return
-    from repro.obs.exporters import write_chrome_trace, write_jsonl
     from repro.obs.stats import render_summary
 
-    snapshot = observer.metrics.snapshot()
-    metadata = {
-        "workload": workload,
-        "deadlocked": bool(deadlocked),
-        "ranks": ranks,
-        "metrics": snapshot,
-    }
-    if profile is not None:
-        metadata["profile"] = profile
-    out = getattr(args, "obs_trace", None)
-    if out:
-        write_chrome_trace(out, observer.tracer, metadata=metadata)
-        print(f"wrote {out} (open in chrome://tracing or Perfetto)")
+    if args.obs_trace:
+        print(f"wrote {args.obs_trace} (open in chrome://tracing or Perfetto)")
         if profile is not None:
-            print(f"profile embedded: `repro profile {out}` renders it")
-    jsonl = getattr(args, "obs_jsonl", None)
-    if jsonl:
-        write_jsonl(jsonl, observer.tracer)
-        print(f"wrote {jsonl}")
+            print(
+                f"profile embedded: `repro profile {args.obs_trace}` "
+                "renders it"
+            )
+    if args.obs_jsonl:
+        print(f"wrote {args.obs_jsonl}")
     print("\nobservability summary")
-    for line in render_summary(snapshot):
+    for line in render_summary(observer.metrics.snapshot()):
         print(line)
 
 
@@ -201,9 +176,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         render_health_table,
         render_health_timeline,
     )
+    from repro.workloads.named import NAMED_WORKLOADS
 
     target = args.target
-    if not target.endswith(".py") and target not in _workloads():
+    if not target.endswith(".py") and target not in NAMED_WORKLOADS:
         # Replay mode: a recorded repro-live/1 feed.
         try:
             header, snapshots, final = load_live_feed(target)
@@ -224,7 +200,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         except TraceError as exc:
             return usage_error(str(exc))
     else:
-        programs = _workloads()[target](args.ranks)
+        programs = NAMED_WORKLOADS[target](args.ranks)
 
     def on_snapshot(doc: dict) -> None:
         for line in render_health_table(doc):
@@ -242,8 +218,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         live_out=_out_path(args, "jsonl"),
         on_snapshot=on_snapshot,
     )
-    run = session.record(programs)
-    session.analyze(run)
+    session.run(programs)
     verdict = session.finalize_live()
     assert verdict is not None and session.live is not None
     if args.openmetrics:
@@ -288,29 +263,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_blame(args: argparse.Namespace) -> int:
-    from repro.backend.base import make_backend
-    from repro.obs.blame import (
-        blame_artifact,
-        blame_document,
-        blame_live,
-        check_agreement,
-        render_blame,
-    )
+    from repro.api import Session
+    from repro.obs.blame import blame_document, check_agreement, render_blame
     from repro.util.errors import ReproError
 
     source = args.run
-    outcome = None
     try:
-        if source.endswith(".py"):
-            report, outcome = blame_live(
-                source,
-                ranks=args.ranks,
-                seed=args.seed,
-                fan_in=args.fan_in,
-                backend=make_backend(args.backend, shards=args.shards),
-            )
-        else:
-            report = blame_artifact(source)
+        # An artifact is read; a .py file is run, by this session.
+        report, outcome = Session(
+            backend=args.backend,
+            shards=args.shards,
+            seed=args.seed,
+            fan_in=args.fan_in,
+            observe=True,
+        ).blame(source, ranks=args.ranks)
     except (OSError, ReproError) as exc:
         return usage_error(f"blame: cannot analyze {source}: {exc}")
     roots = tuple(report.root_causes)

@@ -1,51 +1,63 @@
-"""``record``, ``analyze``, ``demo``: run a workload on the virtual
-runtime and/or run deadlock detection on a matched trace."""
+"""``record``, ``analyze``, ``demo``: build one
+:class:`repro.api.Session` from the flags, let it run the workload
+and/or the detection, print what it found and write what the flags
+name.
+
+The session is the only thing here that runs the tool. ``--centralized``
+and ``--adapt`` ask for the centralized reference analysis instead,
+which is called directly: it is what the distributed tool is checked
+against, not a mode of it.
+"""
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any
 
-from repro.backend.base import make_backend
+from repro.api import Session
 from repro.cli.common import (
     _add_common_flags,
     _add_obs_flags,
-    _workloads,
     _write_json,
     exit_code,
     usage_error,
 )
-from repro.cli.obs import _finish_obs, _make_observer
+from repro.cli.obs import _print_obs
 from repro.core.adaptation import analyze_with_adaptation
 from repro.core.waitstate import analyze_trace
 from repro.mpi.serialize import load_trace, save_trace
 from repro.mpi.trace import MatchedTrace
-from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.util.errors import TraceError
 from repro.wfg.report import render_json_report
 from repro.wfg.simplify import render_aggregated_dot, simplify
 
 
-def _run_workload(
-    name: str, ranks: int, seed: int, observer: Observer = NULL_OBSERVER
-) -> MatchedTrace:
-    factory = _workloads().get(name)
+def _session(args: argparse.Namespace, **analysis: Any) -> Session:
+    return Session(
+        backend=args.backend,
+        shards=args.shards,
+        seed=args.seed,
+        observe=args.obs,
+        trace_out=args.obs_trace,
+        jsonl_out=args.obs_jsonl,
+        **analysis,
+    )
+
+
+def _record(session: Session, args: argparse.Namespace) -> MatchedTrace:
+    from repro.workloads.named import NAMED_WORKLOADS
+
+    name = args.workload
+    factory = NAMED_WORKLOADS.get(name)
     if factory is None:
         print(
             f"unknown workload {name!r}; available: "
-            f"{', '.join(sorted(_workloads()))}",
+            f"{', '.join(sorted(NAMED_WORKLOADS))}",
             file=sys.stderr,
         )
         raise SystemExit(2)
-    from repro.mpi.blocking import BlockingSemantics
-    from repro.runtime import run_programs
-
-    programs = factory(ranks)
-    result = run_programs(
-        programs,
-        semantics=BlockingSemantics.relaxed(),
-        seed=seed,
-        observer=observer,
-    )
+    programs = factory(args.ranks)
+    result = session.record(programs)
     state = "hung" if result.deadlocked else "completed"
     print(
         f"executed {name!r} on {len(programs)} virtual ranks: {state}, "
@@ -55,9 +67,7 @@ def _run_workload(
 
 
 def _analyze(
-    matched: MatchedTrace,
-    args: argparse.Namespace,
-    observer: Observer = NULL_OBSERVER,
+    session: Session, matched: MatchedTrace, args: argparse.Namespace
 ) -> int:
     if getattr(args, "checks", False):
         from repro.checks import run_all_checks
@@ -69,7 +79,7 @@ def _analyze(
                 print("  " + finding.render())
         else:
             print("correctness checks: clean")
-    profile = None
+    verdict = {}
     centralized = args.adapt or args.centralized
     if centralized:
         if args.adapt:
@@ -83,17 +93,19 @@ def _analyze(
                 f"{found.deadlocked or '()'}"
             )
         deadlocked, detection = found.deadlocked, found.detection
+        # The session detected nothing: its artifact carries the
+        # reference's verdict.
+        verdict = {
+            "deadlocked": bool(deadlocked),
+            "ranks": matched.trace.num_processes,
+        }
     else:
-        backend = make_backend(args.backend, shards=args.shards)
-        outcome = backend.run(
-            matched, fan_in=args.fan_in, seed=args.seed, observer=observer
-        )
-        profile = backend.last_profile
+        outcome = session.analyze(matched)
         found = outcome.detection
         deadlocked, detection = outcome.deadlocked, found.result
         print(
             f"distributed verdict (fan-in {args.fan_in}, backend "
-            f"{backend.describe()}): deadlocked "
+            f"{session.backend.describe()}): deadlocked "
             f"ranks {deadlocked or '()'}"
         )
         print(
@@ -134,29 +146,17 @@ def _analyze(
         print(f"wrote {path}")
     if json_out:
         _write_json(json_out, json_doc)
-    _finish_obs(
-        observer,
-        args,
-        workload=getattr(args, "workload", None),
-        deadlocked=bool(deadlocked),
-        ranks=matched.trace.num_processes,
-        profile=profile,
-    )
+    session.export(workload=getattr(args, "workload", None), **verdict)
+    _print_obs(args, session.observer, session.backend.last_profile)
     return exit_code(bool(deadlocked))
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    observer = _make_observer(args)
-    matched = _run_workload(args.workload, args.ranks, args.seed, observer)
-    save_trace(matched, args.output)
+    session = _session(args)
+    save_trace(_record(session, args), args.output)
     print(f"wrote {args.output}")
-    _finish_obs(
-        observer,
-        args,
-        workload=args.workload,
-        deadlocked=False,
-        ranks=matched.trace.num_processes,
-    )
+    session.export(workload=args.workload)
+    _print_obs(args, session.observer)
     return 0
 
 
@@ -169,13 +169,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"loaded trace: {matched.trace.num_processes} processes, "
         f"{matched.trace.total_ops()} operations"
     )
-    return _analyze(matched, args, _make_observer(args))
+    return _analyze(_session(args, fan_in=args.fan_in), matched, args)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    observer = _make_observer(args)
-    matched = _run_workload(args.workload, args.ranks, args.seed, observer)
-    return _analyze(matched, args, observer)
+    session = _session(args, fan_in=args.fan_in)
+    return _analyze(session, _record(session, args), args)
 
 
 def _add_analysis_flags(

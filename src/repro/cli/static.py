@@ -14,9 +14,31 @@ from repro.cli.common import (
     exit_code,
     usage_error,
 )
-from repro.cli.obs import _finish_obs, _make_observer
+from repro.cli.obs import _print_obs
 from repro.docs import doc_header
+from repro.obs.observer import Observer, make_observer
 from repro.util.errors import ReproError, TraceError
+
+
+def _observer(args: argparse.Namespace) -> Observer:
+    """``prove`` and ``verify`` run no tool, hence no Session: their
+    ``--obs*`` flags count the deciders' work on a plain observer."""
+    return make_observer(bool(args.obs or args.obs_trace or args.obs_jsonl))
+
+
+def _export_obs(
+    observer: Observer, args: argparse.Namespace, deadlocked: bool
+) -> None:
+    if observer.enabled:
+        from repro.obs.exporters import export_run
+
+        export_run(
+            observer,
+            trace_out=args.obs_trace,
+            jsonl_out=args.obs_jsonl,
+            deadlocked=deadlocked,
+        )
+        _print_obs(args, observer)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -113,7 +135,7 @@ def _save_witness(witness: Any, directory: str, path: str, label: str) -> None:
 def _cmd_prove(args: argparse.Namespace) -> int:
     from repro.analysis.symbolic import ProveVerdict, prove_source
 
-    observer = _make_observer(args)
+    observer = _observer(args)
     if args.witness_dir:
         os.makedirs(args.witness_dir, exist_ok=True)
     doc: Dict[str, list] = {}
@@ -154,7 +176,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     out = _out_path(args, "json")
     if out:
         _write_json(out, {**doc_header("prove"), "results": doc})
-    _finish_obs(observer, args, workload=None, deadlocked=any_refuted)
+    _export_obs(observer, args, any_refuted)
     return exit_code(any_refuted, any_open)
 
 
@@ -240,7 +262,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis import verify_path
 
-    observer = _make_observer(args)
+    observer = _observer(args)
     if args.witness_dir:
         os.makedirs(args.witness_dir, exist_ok=True)
 
@@ -344,7 +366,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _write_json(
             args.json_out, {**doc_header("verify"), "results": doc}
         )
-    _finish_obs(observer, args, workload=None, deadlocked=any_deadlock)
+    _export_obs(observer, args, any_deadlock)
     return exit_code(any_deadlock or any_error, any_inconclusive)
 
 

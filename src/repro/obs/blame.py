@@ -1,18 +1,18 @@
-"""`repro blame` orchestration: load, analyze, render, export.
+"""`repro blame`: load, render, export.
 
 Two input modes feed :func:`repro.obs.causal.analyze_events`:
 
 * **artifact mode** — a Chrome trace file written by ``--obs-trace`` (or
   a raw ``--out FILE --format jsonl`` stream): the wait-state events are parsed back
-  out of the artifact; malformed input raises
+  out of the artifact (:func:`blame_artifact`); malformed input raises
   :class:`~repro.util.errors.TraceError` so the CLI can exit 2.
 * **live mode** — a Python rank-program file (the `repro lint`
   conventions: ``LINT_PROGRAMS`` / ``LINT_RANKS`` / a module-level
-  generator function): the file is executed on the virtual runtime,
-  the distributed detector runs over the matched trace with a live
-  observer, and blame is computed from the in-memory events. Live mode
-  also returns the runtime outcome so callers can cross-check the
-  blame root causes against the runtime WFG verdict.
+  generator function): :func:`load_programs` reads the file and
+  :meth:`repro.api.Session.blame` runs it like any other job, on an
+  observing session, and blames from that session's tracer. It also
+  returns the runtime outcome so callers can cross-check the blame root
+  causes against the runtime WFG verdict (:func:`check_agreement`).
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.obs.causal import BlameReport, analyze_events
 from repro.obs.events import TraceEvent
 from repro.obs.exporters import load_run, read_jsonl
-from repro.obs.observer import Observer, make_observer
 from repro.obs.stats import render_timeline_table
 from repro.util.errors import TraceError
 
@@ -70,7 +69,7 @@ def blame_artifact(path: str) -> BlameReport:
 
 
 # ---------------------------------------------------------------------------
-# live mode
+# live mode (run by Session.blame)
 # ---------------------------------------------------------------------------
 
 
@@ -107,55 +106,6 @@ def load_programs(path: str, default_ranks: int) -> List[Any]:
     if len(functions) == 1:
         return [functions[0]] * ranks
     return list(functions)
-
-
-def blame_programs(
-    programs: Sequence[Any],
-    *,
-    seed: int = 0,
-    fan_in: int = 4,
-    backend: Any = None,
-) -> Tuple[BlameReport, Any]:
-    """Run rank programs, detect, blame. Returns (report, outcome).
-
-    ``backend`` is an :class:`repro.backend.AnalysisBackend` (default:
-    the inline one); either backend yields the same blame roots.
-    """
-    from repro.backend.base import InlineBackend
-    from repro.mpi.blocking import BlockingSemantics
-    from repro.runtime.engine import run_programs
-
-    observer: Observer = make_observer(True)
-    run = run_programs(
-        programs,
-        semantics=BlockingSemantics.relaxed(),
-        seed=seed,
-        observer=observer,
-    )
-    if backend is None:
-        backend = InlineBackend()
-    outcome = backend.run(
-        run.matched, fan_in=fan_in, seed=seed, observer=observer
-    )
-    report = analyze_events(
-        list(observer.tracer.events), num_ranks=len(programs)
-    )
-    return report, outcome
-
-
-def blame_live(
-    path: str,
-    *,
-    ranks: int = 4,
-    seed: int = 0,
-    fan_in: int = 4,
-    backend: Any = None,
-) -> Tuple[BlameReport, Any]:
-    """Live mode: run the file, detect, blame. Returns (report, outcome)."""
-    programs = load_programs(path, ranks)
-    return blame_programs(
-        programs, seed=seed, fan_in=fan_in, backend=backend
-    )
 
 
 # ---------------------------------------------------------------------------

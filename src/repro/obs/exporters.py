@@ -25,6 +25,7 @@ from repro.obs.events import (
     process_name_metadata,
     shard_of_pid,
 )
+from repro.obs.observer import Observer
 from repro.obs.tracer import Tracer
 from repro.util.errors import TraceError
 
@@ -68,6 +69,37 @@ def write_jsonl(path: str, tracer: Tracer) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for event in tracer.events:
             handle.write(json.dumps(event.to_json()) + "\n")
+
+
+def export_run(
+    observer: Observer,
+    *,
+    trace_out: Optional[str] = None,
+    jsonl_out: Optional[str] = None,
+    workload: Optional[str] = None,
+    deadlocked: bool = False,
+    ranks: Optional[int] = None,
+    profile: Optional[Dict[str, Any]] = None,
+) -> None:
+    """Write one run's trace artifacts: the Chrome trace to
+    ``trace_out``, the raw event stream to ``jsonl_out``.
+
+    The one place the trace's run metadata is assembled: ``workload``,
+    ``deadlocked``, ``ranks``, ``metrics`` (the observer's snapshot),
+    and ``profile`` when the backend profiled the run.
+    """
+    if trace_out:
+        metadata = {
+            "workload": workload,
+            "deadlocked": bool(deadlocked),
+            "ranks": ranks,
+            "metrics": observer.metrics.snapshot(),
+        }
+        if profile is not None:
+            metadata["profile"] = profile
+        write_chrome_trace(trace_out, observer.tracer, metadata=metadata)
+    if jsonl_out:
+        write_jsonl(jsonl_out, observer.tracer)
 
 
 def read_jsonl(path: str) -> List[TraceEvent]:

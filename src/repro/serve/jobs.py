@@ -18,15 +18,16 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 # Everything a job runs loads with this module, when the daemon starts
-# and before it listens: ``Session.verify``/``.blame`` and the workload
-# table import their analyses on first use, and that import would
-# otherwise sit inside the first job of each kind, on a worker thread.
+# and before it listens: ``Session.record``/``.verify``/``.blame`` import
+# the runtime and their analyses on first use, a worker's session its
+# live monitor, and that import would otherwise sit inside the first
+# job of each kind, on a worker thread.
 import repro.analysis  # noqa: F401
-import repro.workloads  # noqa: F401
-from repro.cli.common import _workloads
+import repro.obs.live  # noqa: F401
 from repro.mpi.serialize import matched_trace_from_dict
 from repro.obs.blame import blame_document, load_programs
 from repro.util.errors import ReproError
+from repro.workloads.named import NAMED_WORKLOADS
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -247,12 +248,11 @@ def execute_job(session: Any, job: Job) -> Dict[str, Any]:
 
 def _execute_spec(session: Any, spec: JobSpec) -> Dict[str, Any]:
     if spec.kind == "workload":
-        registry = _workloads()
-        build = registry.get(spec.workload or "")
+        build = NAMED_WORKLOADS.get(spec.workload or "")
         if build is None:
             raise JobError(
                 f"unknown workload {spec.workload!r} "
-                f"(known: {', '.join(sorted(registry))})"
+                f"(known: {', '.join(sorted(NAMED_WORKLOADS))})"
             )
         return _outcome_doc(session.run(build(spec.ranks)))
     if spec.kind == "program":

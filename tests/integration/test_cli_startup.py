@@ -28,9 +28,13 @@ NOT_FOR_INLINE_ANALYZE = (
     "repro.analysis", "repro.serve", "repro.backend.sharded",
     "multiprocessing", "repro.obs.live", "repro.obs.health",
     "repro.obs.dist", "repro.obs.prof", "repro.obs.stats",
-    "repro.obs.exporters", "repro.obs.timeline",
+    "repro.obs.exporters", "repro.obs.timeline", "repro.runtime",
 )
 NOT_FOR_VERIFY = ("repro.serve", "repro.backend.sharded", "multiprocessing")
+#: The driver of the commands that run the tool, and what it drives.
+#: ``verify`` and ``lint`` check their findings with ``repro.core``'s
+#: centralized reference, which brings the detector module along.
+DRIVER = ("repro.api", "repro.backend", "repro.core.detector")
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -101,6 +105,17 @@ def test_verify_with_replay_loads_no_service_and_no_sharded_backend():
     run = _cold("verify", LAMMPS, "--replay")
     assert run["code"] == 1 and "replay: confirmed" in run["out"]
     assert _loaded(run, NOT_FOR_VERIFY) == []
+
+
+@pytest.mark.parametrize("command,loads_detector", [
+    ("verify", True), ("lint", True), ("prove", False), ("classify", False),
+])
+def test_the_static_commands_load_no_driver(command, loads_detector):
+    flags = ["--obs"] if command in ("verify", "prove") else []
+    run = _cold(command, LAMMPS, *flags)
+    assert run["code"] == (0 if command == "classify" else 1)
+    allowed = ["repro.core.detector"] if loads_detector else []
+    assert _loaded(run, DRIVER) == allowed
 
 
 def test_submit_reaches_for_the_client_only_when_it_runs():

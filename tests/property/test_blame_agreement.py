@@ -8,7 +8,8 @@ reported, and all terminal blocked time must land on those ranks.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.blame import blame_programs, check_agreement
+from repro.api import Session
+from repro.obs.blame import check_agreement
 
 
 def _send_ring(p, members, tag=99):
@@ -56,7 +57,7 @@ def test_send_ring_roots_match_runtime(p, offset, size, seed):
     members = sorted({(offset + i) % p for i in range(min(size, p))})
     if len(members) < 2:
         members = [0, 1]
-    report, outcome = blame_programs(_send_ring(p, members), seed=seed)
+    report, outcome = Session(seed=seed).blame(_send_ring(p, members))
     assert outcome.has_deadlock
     assert check_agreement(report, outcome.deadlocked)
     assert set(report.root_causes) == set(outcome.deadlocked)
@@ -79,7 +80,7 @@ def test_crossed_receives_roots_match_runtime(p, pair_seed, seed):
     b = (pair_seed // 7 + 1 + a) % p
     if a == b:
         b = (a + 1) % p
-    report, outcome = blame_programs(_crossed_recv_pair(p, a, b), seed=seed)
+    report, outcome = Session(seed=seed).blame(_crossed_recv_pair(p, a, b))
     assert outcome.has_deadlock
     assert check_agreement(report, outcome.deadlocked)
     assert {a, b} <= set(report.root_causes)
@@ -99,7 +100,7 @@ def test_clean_pairs_report_no_roots(p, seed):
                 yield r.send(dest=partner, tag=3, nbytes=64)
         yield r.finalize()
 
-    report, outcome = blame_programs([prog] * p, seed=seed)
+    report, outcome = Session(seed=seed).blame([prog] * p)
     assert not outcome.has_deadlock
     assert not report.has_deadlock
     assert check_agreement(report, outcome.deadlocked)

@@ -1,6 +1,7 @@
 """The ``repro.api`` facade: AnalysisConfig, Session, and the v1
 removal of the legacy free-function names."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,11 @@ from repro.workloads import (
     lammps_skeleton_programs,
     stress_programs,
     wildcard_deadlock_programs,
+)
+
+LAMMPS = str(
+    Path(__file__).resolve().parents[2]
+    / "examples" / "lammps_potential_deadlock.py"
 )
 
 
@@ -39,6 +45,13 @@ class TestAnalysisConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             AnalysisConfig().fan_in = 8
+
+    def test_the_profile_sink_nobody_could_read_is_gone(self):
+        import dataclasses
+
+        assert len(dataclasses.fields(AnalysisConfig)) == 19
+        with pytest.raises(TypeError):
+            AnalysisConfig(profile_out="p.json")
 
 
 class TestSession:
@@ -95,6 +108,45 @@ class TestSession:
         session.export()  # second call must not rewrite
         assert not trace.exists()
         assert stamp
+
+
+class TestBlameRunsOnTheSession:
+    """Live-mode blame is ``Session.run`` on an observing session plus
+    the event analysis: backend, seed, fan-in, flight recorder and live
+    monitor are the session's."""
+
+    def test_a_sharded_session_blames_on_its_own_backend(self):
+        session = Session(backend="sharded", shards=2)
+        report, outcome = session.blame(LAMMPS, ranks=8)
+        assert session.backend.last_timing is not None
+        inline, _ = Session().blame(LAMMPS, ranks=8)
+        assert report.root_causes == inline.root_causes == tuple(range(12))
+        assert outcome.deadlocked == tuple(report.root_causes)
+        assert session.last_outcome is outcome
+
+    def test_a_live_session_sees_the_blame_run(self):
+        session = Session(live=True, live_every_steps=16)
+        report, outcome = session.blame(lammps_skeleton_programs(8))
+        assert report.root_causes == outcome.deadlocked == tuple(range(8))
+        assert session.last_run is not None
+        names = {event.name for event in session.observer.tracer.events}
+        assert {"engine.run", "NewOpMsg"} <= names
+        assert session.flight.count(0) > 0
+        assert session.live.snapshots
+
+    def test_a_serve_blame_job_runs_on_the_worker_session(self):
+        from repro.serve.jobs import Job, JobSpec, execute_job
+
+        session = Session(backend="sharded", shards=2, live=True)
+        with open(LAMMPS, encoding="utf-8") as handle:
+            spec = JobSpec(
+                kind="program", op="blame", source=handle.read(), ranks=8
+            )
+        result = execute_job(session, Job(id="job-0", tenant="t", spec=spec))
+        assert result["verdict"] == "deadlock" and result["exit_code"] == 1
+        assert result["root_causes"] == list(range(12))
+        assert session.backend.last_timing is not None
+        assert session.live.snapshots
 
 
 class TestReportsRenderWhenRead:

@@ -66,6 +66,55 @@ class TestRegistry:
         assert by_hand == []
 
 
+class TestOneDriver:
+    def test_only_the_session_runs_the_tool_and_one_function_exports(self):
+        """Under ``cli/``, ``serve/`` and ``obs/`` nothing runs rank
+        programs or an analysis backend — that is ``repro.api.Session``
+        — and nothing writes a trace artifact except
+        ``obs.exporters.export_run``."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        forbidden = {
+            "run_programs", "_run_programs", "make_backend",
+            "write_chrome_trace", "write_jsonl",
+        }
+
+        def terminal_name(node):
+            if isinstance(node, ast.Attribute):
+                return node.attr
+            return node.id if isinstance(node, ast.Name) else None
+
+        def offence(call):
+            name = terminal_name(call.func)
+            if name == "run" and isinstance(call.func, ast.Attribute):
+                owner = terminal_name(call.func.value)
+                return "backend.run" if owner == "backend" else None
+            return name if name in forbidden else None
+
+        root = Path(repro.__file__).parent
+        exempted, offences = 0, []
+        for package in ("cli", "serve", "obs"):
+            for path in sorted((root / package).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                if path == root / "obs" / "exporters.py":
+                    kept = [
+                        node for node in tree.body
+                        if getattr(node, "name", None) != "export_run"
+                    ]
+                    exempted += len(tree.body) - len(kept)
+                    tree.body = kept
+                offences += [
+                    f"{path.relative_to(root)}:{node.lineno}: {offence(node)}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and offence(node)
+                ]
+        assert exempted == 1
+        assert offences == []
+
+
 class TestParseFormat:
     @pytest.mark.parametrize(
         "tag,expected",
