@@ -3,18 +3,24 @@
 write, for two checkouts.
 
 A change to what drives ``record``/``analyze``/``demo``/``blame`` (or to
-the ``--obs*`` export under ``prove``/``verify``) must leave stdout, the
-exit code and every written artifact where they were. This script is
-the check, in the ``diff_recorders.py`` pattern: run ``dump`` once in
-each checkout (from its root, so ``examples/`` resolves; a parent that
-predates this script needs it copied in), then ``compare``.
+the ``--obs*`` export under ``prove``/``verify``), or to how a command
+reads a rank-program file (``repro/programfile.py``), must leave stdout,
+the exit code and every written artifact where they were. This script
+is the check, in the ``diff_recorders.py`` pattern: run ``dump`` once in
+each checkout (from its root, so ``src`` and ``examples/`` are that
+checkout's), then ``compare``. Both dumps are made by *this* file, run
+by its path, so a parent needs nothing copied in: the matrix and the
+fixture files (``tests/fixtures/program_files``, found next to the
+script) are the same on both sides.
 
-    PYTHONPATH=src python benchmarks/diff_cli.py dump /tmp/a.json
+    cd PARENT && PYTHONPATH=src python CHANGE/benchmarks/diff_cli.py dump /tmp/parent.json
+    cd CHANGE && PYTHONPATH=src python benchmarks/diff_cli.py dump /tmp/a.json
     python benchmarks/diff_cli.py compare /tmp/parent.json /tmp/a.json
 
 Every line of the matrix is one in-process ``repro.cli.main(argv)`` in a
-scratch directory that holds an ``examples`` link and, for ``analyze``,
-the trace ``t.json`` the group's first ``record`` line wrote. A line's
+scratch directory that holds an ``examples`` and a ``fixtures`` link
+and, for ``analyze``, the trace ``t.json`` the group's first ``record``
+line wrote. A line's
 entry is its exit code, its masked stdout and stderr, and per written
 file the SHA-256 of its masked text. The matrix:
 
@@ -29,6 +35,11 @@ file the SHA-256 of its masked text. The matrix:
   and on a JSONL stream, ``stats``/``profile`` on the same artifacts;
 * ``prove``/``verify`` with ``--obs``, ``--obs-trace``, ``--format
   jsonl``; ``lint``/``classify`` plain; ``watch`` on a workload;
+* every fixture rank-program file (one program, a helper generator, a
+  dataclass under postponed annotations, two programs, ``LINT_PROGRAMS``,
+  no program, exit / raise at import, a syntax error, a program that
+  raises, one that misuses MPI) through ``lint -v``, ``classify``,
+  ``prove``, ``verify``, ``blame`` and ``watch``;
 * the unknown-workload errors of ``record``, ``demo`` and ``watch``;
 * ``repro --help`` and ``repro <command> --help`` for every command.
 
@@ -77,6 +88,18 @@ HTML_TAILS = re.compile(
 
 #: The checkout ``dump`` runs in.
 ROOT = os.getcwd()
+
+#: The rank-program fixture files, the same for both checkouts.
+FIXTURES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tests", "fixtures", "program_files",
+)
+#: What every scratch directory links to.
+LINKS = {"examples": os.path.join(ROOT, "examples"), "fixtures": FIXTURES}
+FIXTURE_COMMANDS = (
+    ("lint", "-v"), ("classify",), ("prove",), ("verify",),
+    ("blame", "-n", "4"), ("watch", "-n", "4"),
+)
 
 WORKLOADS = (
     "fig2a", "fig2b", "fig4", "stress", "wildcard", "lammps", "gapgeofem",
@@ -183,6 +206,11 @@ def _groups():
         lines += [("demo", workload, *RANKS, *flags) for flags in RUN_FLAGS]
         yield workload, ("t.json",), lines
     yield from OTHER_GROUPS
+    yield "program-files", (), [
+        (command, f"fixtures/{name}", *flags)
+        for name in sorted(os.listdir(FIXTURES)) if name.endswith(".py")
+        for command, *flags in FIXTURE_COMMANDS
+    ]
     from repro.cli import COMMANDS
 
     yield "help", (), [("--help",)] + [
@@ -274,6 +302,9 @@ def _run_line(argv, keep):
             code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
+    except Exception as exc:  # the process would print a traceback
+        code = 1
+        err.write(f"Traceback: {type(exc).__name__}: {exc}\n")
     stdout = _mask(out.getvalue())
     if argv[0] == "blame" and "sharded" in argv:
         stdout = "\n".join(sorted(stdout.splitlines()))
@@ -284,7 +315,7 @@ def _run_line(argv, keep):
         "files": {},
     }
     for name in sorted(os.listdir(".")):
-        if name in before and (name in keep or name == "examples"):
+        if name in before and (name in keep or name in LINKS):
             continue
         with open(name, "r", encoding="utf-8") as fh:
             entry["files"][name] = _file_entry(name, fh.read())
@@ -305,8 +336,8 @@ def dump(path):
     for label, keep, lines in _groups():
         scratch = tempfile.mkdtemp(prefix="diff_cli_")
         try:
-            os.symlink(os.path.join(root, "examples"),
-                       os.path.join(scratch, "examples"))
+            for link, target in LINKS.items():
+                os.symlink(target, os.path.join(scratch, link))
             os.chdir(scratch)
             for argv in lines:
                 out[f"{label}: repro {' '.join(argv)}"] = _run_line(

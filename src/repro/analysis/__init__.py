@@ -16,7 +16,7 @@ are labeled ``SEQ-DETERMINISTIC`` / ``SEQ-WILDCARD-FREE-LOOPS`` and
 decided by an O(n) linear matching instead of state-graph search
 (``repro classify``, and the ``repro verify`` fast path).
 """
-from repro.analysis.astlint import find_rank_programs, lint_source
+from repro.analysis.astlint import lint_source
 from repro.analysis.driver import (
     DEFAULT_RANKS,
     LintReport,
@@ -58,6 +58,7 @@ from repro.analysis.witness import (
     WitnessSchedule,
     replay_witness,
 )
+from repro.programfile import find_rank_programs
 
 __all__ = [
     "DEFAULT_RANKS",

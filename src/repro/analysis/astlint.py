@@ -24,51 +24,24 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.checks.findings import CheckFinding, Severity
 from repro.checks.local import MIN_TAG_UB
-
-SEND_METHODS = frozenset(
-    {"send", "ssend", "bsend", "rsend", "isend", "issend", "ibsend",
-     "irsend", "send_init"}
+from repro.programfile import (
+    COLLECTIVE_METHODS,
+    GENERATOR_METHODS,
+    RECV_METHODS,
+    SEND_METHODS,
+    RankProgram,
+    find_rank_programs,
+    handle_call,
+    program_handle,
+    scoped_walk,
 )
-RECV_METHODS = frozenset(
-    {"recv", "irecv", "recv_init", "probe", "iprobe"}
-)
-COLLECTIVE_METHODS = frozenset(
-    {"barrier", "bcast", "reduce", "allreduce", "gather", "scatter",
-     "allgather", "alltoall", "scan", "reduce_scatter", "comm_dup",
-     "comm_split", "comm_create", "comm_free"}
-)
-COMPLETION_METHODS = frozenset(
-    {"wait", "waitall", "waitany", "waitsome", "test", "testall",
-     "testany", "testsome"}
-)
-OTHER_PLAIN_METHODS = frozenset({"start", "request_free", "finalize"})
-#: Builders returning a *sub-generator*: must be driven by yield-from.
-GENERATOR_METHODS = frozenset({"sendrecv", "startall"})
-#: Builders returning a single call: must be the value of a plain yield.
-PLAIN_METHODS = (
-    SEND_METHODS | RECV_METHODS | COLLECTIVE_METHODS
-    | COMPLETION_METHODS | OTHER_PLAIN_METHODS
-)
-ALL_METHODS = PLAIN_METHODS | GENERATOR_METHODS
 
 #: Names that denote MPI_ANY_SOURCE in source text.
 _ANY_SOURCE_NAMES = frozenset({"ANY_SOURCE", "MPI_ANY_SOURCE"})
-
-
-@dataclass
-class RankProgram:
-    """A module-level function recognized as a rank program."""
-
-    node: ast.FunctionDef
-    handle: str  # parameter name of the Rank handle
-
-    @property
-    def name(self) -> str:
-        return self.node.name
 
 
 def _int_literal(node: ast.AST) -> Optional[int]:
@@ -97,94 +70,6 @@ def _is_any_source(node: ast.AST) -> bool:
     return False
 
 
-def _handle_call(node: ast.AST, handles: Set[str]) -> Optional[str]:
-    """Method name when ``node`` is ``<handle>.<mpi-method>(...)``."""
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr not in ALL_METHODS:
-        return None
-    if not isinstance(func.value, ast.Name):
-        return None
-    if func.value.id not in handles:
-        return None
-    return func.attr
-
-
-def _scoped_walk(fn: ast.FunctionDef) -> Iterator[ast.AST]:
-    """Walk ``fn``'s body without descending into nested functions."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _direct_yields(fn: ast.FunctionDef) -> List[ast.expr]:
-    """Yield/YieldFrom nodes in ``fn``'s own scope (not nested defs)."""
-    found: List[ast.expr] = []
-
-    class Visitor(ast.NodeVisitor):
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            if node is not fn:
-                return  # do not descend into nested functions
-            self.generic_visit(node)
-
-        visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-        def visit_Lambda(self, node: ast.Lambda) -> None:
-            return
-
-        def visit_Yield(self, node: ast.Yield) -> None:
-            found.append(node)
-            self.generic_visit(node)
-
-        def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-            found.append(node)
-            self.generic_visit(node)
-
-    Visitor().visit(fn)
-    return found
-
-
-def _is_rank_program(fn: ast.FunctionDef) -> Optional[str]:
-    """The handle parameter name when ``fn`` looks like a rank program.
-
-    A rank program takes the handle as its first parameter and directly
-    yields at least one MPI call built on it.
-    """
-    args = fn.args
-    if not args.args:
-        return None
-    handle = args.args[0].arg
-    for node in _direct_yields(fn):
-        value = node.value
-        if value is not None and _handle_call(value, {handle}):
-            return handle
-    return None
-
-
-def find_rank_programs(tree: ast.Module) -> List[RankProgram]:
-    """Module-level functions that are recognizably rank programs."""
-    programs: List[RankProgram] = []
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        extra_required = len(node.args.args) - 1 - len(node.args.defaults)
-        if extra_required > 0:
-            continue  # cannot be called with just the Rank handle
-        handle = _is_rank_program(node)
-        if handle is not None:
-            programs.append(RankProgram(node=node, handle=handle))
-    return programs
-
-
 @dataclass
 class _Linter:
     filename: str
@@ -210,8 +95,8 @@ class _Linter:
         self._check_yield_discipline(fn, handles)
         self._check_rank_dependent_collectives(fn, handles)
         self._check_rank_dependent_collective_loops(fn, handles)
-        for call in _scoped_walk(fn):
-            method = _handle_call(call, handles)
+        for call in scoped_walk(fn):
+            method = handle_call(call, handles)
             if method is None:
                 continue
             self._check_call_arguments(call, method)  # type: ignore[arg-type]
@@ -219,7 +104,7 @@ class _Linter:
     def _collect_aliases(self, fn: ast.FunctionDef,
                          handles: Set[str]) -> None:
         """Track simple handle aliases (``comm = rank``)."""
-        for node in _scoped_walk(fn):
+        for node in scoped_walk(fn):
             if (
                 isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Name)
@@ -235,13 +120,13 @@ class _Linter:
                                 handles: Set[str]) -> None:
         yielded: Set[int] = set()
         yielded_from: Set[int] = set()
-        for node in _scoped_walk(fn):
+        for node in scoped_walk(fn):
             if isinstance(node, ast.Yield) and node.value is not None:
                 yielded.add(id(node.value))
             elif isinstance(node, ast.YieldFrom):
                 yielded_from.add(id(node.value))
-        for node in _scoped_walk(fn):
-            method = _handle_call(node, handles)
+        for node in scoped_walk(fn):
+            method = handle_call(node, handles)
             if method is None:
                 continue
             if method in GENERATOR_METHODS:
@@ -290,7 +175,7 @@ class _Linter:
         self, fn: ast.FunctionDef, handles: Set[str]
     ) -> None:
         rank_names = self._rank_identity_names(fn, handles)
-        for node in _scoped_walk(fn):
+        for node in scoped_walk(fn):
             if not isinstance(node, ast.If):
                 continue
             if not self._mentions_rank(node.test, handles, rank_names):
@@ -316,7 +201,7 @@ class _Linter:
         like a rank-dependent branch does (the loop-shaped variant the
         branch check is blind to)."""
         rank_names = self._rank_identity_names(fn, handles)
-        for node in _scoped_walk(fn):
+        for node in scoped_walk(fn):
             if isinstance(node, ast.For):
                 trip = node.iter
             elif isinstance(node, ast.While):
@@ -341,7 +226,7 @@ class _Linter:
                              handles: Set[str]) -> Set[str]:
         """Variables assigned from ``<handle>.rank`` (simple aliases)."""
         names: Set[str] = set()
-        for node in _scoped_walk(fn):
+        for node in scoped_walk(fn):
             if (
                 isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Attribute)
@@ -375,7 +260,7 @@ class _Linter:
         calls: List[str] = []
         for stmt in body:
             for node in ast.walk(stmt):
-                method = _handle_call(node, handles)
+                method = handle_call(node, handles)
                 if method in COLLECTIVE_METHODS:
                     calls.append(method)
         return tuple(calls)
@@ -454,32 +339,28 @@ class _Linter:
             )
 
 
+def lint_module(tree: ast.Module, filename: str) -> List[CheckFinding]:
+    """AST-lint a parsed module."""
+    linter = _Linter(filename=filename)
+    # Lint every function that yields handle-built MPI calls — nested
+    # and non-module-level generators included — not just the programs
+    # eligible for extraction.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            handle = program_handle(node)
+            if handle is not None:
+                linter.lint_program(node, handle)
+    return linter.findings
+
+
 def lint_source(
     source: str, filename: str
 ) -> Tuple[List[CheckFinding], List[RankProgram]]:
     """AST-lint ``source``; returns findings and discovered programs.
 
-    Raises :class:`SyntaxError` when the source does not parse — the
-    caller turns that into a finding with the error position.
+    Raises :class:`SyntaxError` when the source does not parse. For a
+    file, ``repro lint`` runs :func:`lint_module` on the tree
+    :class:`repro.programfile.ProgramFile` parsed.
     """
     tree = ast.parse(source, filename=filename)
-    programs = find_rank_programs(tree)
-    linter = _Linter(filename=filename)
-
-    # Lint every function that yields handle-built MPI calls — nested
-    # and non-module-level generators included — not just the programs
-    # eligible for extraction.
-    seen: Set[int] = set()
-
-    def lint_fn(fn: ast.FunctionDef) -> None:
-        if id(fn) in seen:
-            return
-        seen.add(id(fn))
-        handle = _is_rank_program(fn)
-        if handle is not None:
-            linter.lint_program(fn, handle)
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            lint_fn(node)
-    return linter.findings, programs
+    return lint_module(tree, filename), find_rank_programs(tree)

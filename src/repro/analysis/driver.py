@@ -1,33 +1,36 @@
-"""The ``repro lint`` entry point: orchestrate the static passes.
+"""The ``repro lint`` and ``repro verify`` entry points: orchestrate
+the static passes.
 
-For a Python file the pipeline is
+A Python file is opened through :class:`repro.programfile.ProgramFile`,
+the one reader under every command that takes a rank-program file
+(read once, parsed once, executed at most once). The pipeline is
 
-1. parse + AST lint (:mod:`repro.analysis.astlint`);
-2. import the module and instantiate every discovered rank program
-   over ``LINT_RANKS`` virtual ranks (or an explicit ``LINT_PROGRAMS``
-   list when the module provides one);
+1. AST lint of the tree (:mod:`repro.analysis.astlint`) and symbolic
+   classification of every discovered rank program (``lint`` only);
+2. the file's program sets (:meth:`ProgramFile.program_sets`): an
+   explicit ``LINT_PROGRAMS`` list, else every discovered rank program
+   over ``LINT_RANKS`` virtual ranks;
 3. statically extract the per-rank operation sequences
-   (:mod:`repro.analysis.extract`);
-4. run the request typestate FSM and the collective consistency
-   checker (:mod:`repro.analysis.typestate`);
-5. when the extraction is exact and wildcard-free, replay the
+   (:mod:`repro.analysis.extract`) and run the request typestate FSM
+   and the collective consistency checker
+   (:mod:`repro.analysis.typestate`): :func:`_extract_and_check`;
+4. ``lint``: when the extraction is exact and wildcard-free, replay the
    sequences under the deterministic sequential model
    (:func:`repro.analysis.sequential.match_sequences`) and report any
-   deadlock with its witness cycle.
+   deadlock with its witness cycle; ``verify``: the linear fast path or
+   the match-set explorer, and a witness replay on request.
 
-For a recorded ``.json`` trace, steps 4–5 run on the recorded
-sequences, with wildcard receives pinned to their observed matches.
+For a recorded ``.json`` trace, ``lint`` runs the checkers and the
+replay on the recorded sequences, with wildcard receives pinned to
+their observed matches.
 """
 from __future__ import annotations
 
-import ast
-import importlib.util
 import os
-import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.astlint import lint_source
+from repro.analysis.astlint import lint_module
 from repro.analysis.explore import (
     ExplorationUnsupported,
     ExploreResult,
@@ -39,7 +42,7 @@ from repro.analysis.sequential import StaticMatchResult, match_sequences
 from repro.analysis.symbolic.fragments import (
     ProgramClassification,
     classify_extraction,
-    classify_source,
+    classify_module,
     decide_extraction,
 )
 from repro.analysis.typestate import (
@@ -57,6 +60,7 @@ from repro.checks.findings import (
 )
 from repro.mpi.serialize import load_trace
 from repro.obs.metrics import MetricsRegistry
+from repro.programfile import ProgramFile, ProgramFileError
 from repro.util.errors import ReproError
 
 #: Default virtual world size for statically analyzed programs.
@@ -101,50 +105,45 @@ def lint_path(path: str, *, ranks: int = DEFAULT_RANKS) -> LintReport:
 
 def _lint_python(path: str, ranks: int) -> LintReport:
     report = LintReport(path=path)
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
     try:
-        findings, programs = lint_source(source, path)
-    except SyntaxError as exc:
+        program_file = ProgramFile(path)
+    except ProgramFileError as exc:
         report.findings.append(
             CheckFinding(
                 check="syntax-error",
                 severity=Severity.ERROR,
                 rank=None,
-                message=f"source does not parse: {exc.msg}",
-                location=f"{path}:{exc.lineno or 1}",
+                message=exc.reason,
+                location=f"{path}:{exc.lineno}",
             )
         )
         return report
-    report.findings.extend(findings)
-    _classify_for_lint(source, path, report)
-    if not programs and not _has_explicit_programs(source):
+    report.findings.extend(lint_module(program_file.tree, path))
+    _classify_for_lint(program_file, report)
+    try:
+        program_sets = program_file.program_sets(ranks)
+    except ProgramFileError as exc:
+        report.notes.append(f"{exc.reason}; AST lint only")
+        return report
+    if not program_sets:
         report.notes.append(
             "no module-level rank programs found; AST lint only"
         )
-        return report
-
-    module = _import_module(path, report)
-    if module is None:
-        return report
-
-    program_sets = _program_sets(module, programs, ranks, report)
     for label, program_set in program_sets:
         _analyze_program_set(label, program_set, report)
     return report
 
 
 def _classify_for_lint(
-    source: str, path: str, report: LintReport
+    program_file: ProgramFile, report: LintReport
 ) -> None:
     """Run the symbolic pass and fold its provenance into the lint
     findings: ``loop-unsupported`` / ``symbolic-unsupported`` notes
     with file:line, and one ``role-split`` INFO per rank-dependent
     branch so role-parametric programs are visible in lint output."""
+    path = program_file.path
     try:
-        classifications = classify_source(source, path)
-    except SyntaxError:
-        return  # already reported by the AST lint
+        classifications = classify_module(program_file.tree, path)
     except RecursionError:  # pathological nesting; lint stays usable
         report.notes.append("symbolic classification overflowed; skipped")
         return
@@ -220,70 +219,35 @@ def _prove_for_lint(
         )
 
 
-def _has_explicit_programs(source: str) -> bool:
-    """Whether the module assigns a top-level ``LINT_PROGRAMS`` list
-    (checked on the AST so program-less files are never imported)."""
+def _extract_and_check(
+    program_set: Sequence[Callable[..., Any]],
+    findings: List[CheckFinding],
+) -> Tuple[Optional[Extraction], str]:
+    """Extract ``program_set`` and run the consistency checkers on the
+    sequences, appending to ``findings``. Returns the extraction, or
+    None and why there is none."""
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return False
-    for node in tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "LINT_PROGRAMS":
-                return True
-    return False
-
-
-def _import_module(path: str, report: LintReport):
-    """Import the linted file under a throwaway module name."""
-    name = "_repro_lint_target"
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None or spec.loader is None:
-        report.notes.append("cannot import module; AST lint only")
-        return None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except SystemExit:
-        # Scripts guarded by __main__ blocks should not run, but be
-        # robust against modules calling sys.exit at import time.
-        report.notes.append(
-            "module exited during import; AST lint only"
+        extraction = extract_programs(program_set)
+    except ReproError as exc:
+        return None, f"extraction failed ({exc})"
+    findings.extend(extraction.notes)
+    findings.extend(check_request_typestate(extraction.sequences))
+    findings.extend(
+        check_collective_consistency(
+            extraction.sequences,
+            extraction.comms,
+            hung_ranks=extraction.truncated,
         )
-        return None
-    except Exception as exc:
-        report.notes.append(
-            f"import failed ({exc!r}); AST lint only"
-        )
-        return None
-    finally:
-        sys.modules.pop(name, None)
-    return module
+    )
+    return extraction, ""
 
 
-def _program_sets(module, programs, ranks: int, report: LintReport):
-    """The program sets to extract: explicit LINT_PROGRAMS or one set
-    of ``n`` copies per discovered rank program."""
-    explicit = getattr(module, "LINT_PROGRAMS", None)
-    if explicit is not None:
-        return [("LINT_PROGRAMS", list(explicit))]
-    n = getattr(module, "LINT_RANKS", ranks)
-    sets = []
-    for program in programs:
-        fn = getattr(module, program.name, None)
-        if fn is None or not callable(fn):
-            report.notes.append(
-                f"{program.name}: not importable; skipped"
-            )
-            continue
-        sets.append((program.name, [fn] * n))
-    return sets
+def _cycle_text(witness_cycle: Sequence[int]) -> str:
+    """The tail of a deadlock finding that names the witness cycle."""
+    if not witness_cycle:
+        return ""
+    chain = " -> ".join(str(r) for r in witness_cycle)
+    return f"; dependency cycle {chain} -> {witness_cycle[0]}"
 
 
 def _analyze_program_set(
@@ -291,23 +255,11 @@ def _analyze_program_set(
 ) -> None:
     if not program_set:
         return
-    try:
-        extraction = extract_programs(program_set)
-    except ReproError as exc:
-        report.notes.append(f"{label}: extraction failed ({exc})")
+    extraction, failure = _extract_and_check(program_set, report.findings)
+    if extraction is None:
+        report.notes.append(f"{label}: {failure}")
         return
     report.programs_analyzed += 1
-    report.findings.extend(extraction.notes)
-    report.findings.extend(
-        check_request_typestate(extraction.sequences)
-    )
-    report.findings.extend(
-        check_collective_consistency(
-            extraction.sequences,
-            extraction.comms,
-            hung_ranks=extraction.truncated,
-        )
-    )
     if not extraction.exact and not (
         extraction.wildcard_exact and not extraction.truncated
     ):
@@ -346,10 +298,7 @@ def _report_match(
         return
     if not result.has_deadlock:
         return
-    cycle = ""
-    if result.witness_cycle:
-        chain = " -> ".join(str(r) for r in result.witness_cycle)
-        cycle = f"; dependency cycle {chain} -> {result.witness_cycle[0]}"
+    cycle = _cycle_text(result.witness_cycle)
     for rank in result.deadlocked:
         op = result.blocked_ops.get(rank)
         report.findings.append(
@@ -397,6 +346,9 @@ class VerifyReport:
     """Everything ``repro verify`` learned about one path."""
 
     path: str
+    #: The file as read, so a caller that goes on (``verify --prove``)
+    #: has the parsed tree and does not read it again.
+    program_file: ProgramFile
     programs: List[ProgramVerification] = field(default_factory=list)
     findings: List[CheckFinding] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
@@ -455,26 +407,19 @@ def verify_path(
             "recorded traces are analyzed by `repro lint` / "
             "`repro analyze`"
         )
-    report = VerifyReport(path=path)
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
     try:
-        _, programs = lint_source(source, path)
-    except SyntaxError as exc:
+        program_file = ProgramFile(path)
+    except ProgramFileError as exc:
+        raise ReproError(f"{exc.reason} ({path}:{exc.lineno})") from exc
+    report = VerifyReport(path=path, program_file=program_file)
+    try:
+        program_sets = program_file.program_sets(ranks)
+    except ProgramFileError as exc:
         raise ReproError(
-            f"source does not parse: {exc.msg} "
-            f"({path}:{exc.lineno or 1})"
+            f"cannot import {path}: {exc.reason}; AST lint only"
         ) from exc
-    if not programs and not _has_explicit_programs(source):
+    if not program_sets:
         report.notes.append("no module-level rank programs found")
-        return report
-    module = _import_module(path, report)
-    if module is None:
-        raise ReproError(f"cannot import {path}: {report.notes[-1]}")
-
-    lint_shim = LintReport(path=path)
-    program_sets = _program_sets(module, programs, ranks, lint_shim)
-    report.notes.extend(lint_shim.notes)
     for label, program_set in program_sets:
         report.programs.append(
             _verify_program_set(
@@ -503,20 +448,10 @@ def _verify_program_set(
     metrics: Optional[MetricsRegistry] = None,
 ) -> ProgramVerification:
     prog = ProgramVerification(label=label)
-    try:
-        extraction = extract_programs(program_set)
-    except ReproError as exc:
-        prog.skipped_reason = f"extraction failed ({exc})"
+    extraction, failure = _extract_and_check(program_set, prog.findings)
+    if extraction is None:
+        prog.skipped_reason = failure
         return prog
-    prog.findings.extend(extraction.notes)
-    prog.findings.extend(check_request_typestate(extraction.sequences))
-    prog.findings.extend(
-        check_collective_consistency(
-            extraction.sequences,
-            extraction.comms,
-            hung_ranks=extraction.truncated,
-        )
-    )
     if any(f.severity is Severity.ERROR for f in prog.findings):
         # The engine would reject these programs (usage errors); an
         # exploration verdict would be meaningless.
@@ -581,10 +516,7 @@ def _verify_program_set(
     if not result.has_deadlock:
         return prog
     prog.witness = result.witness
-    cycle = ""
-    if result.witness_cycle:
-        chain = " -> ".join(str(r) for r in result.witness_cycle)
-        cycle = f"; dependency cycle {chain} -> {result.witness_cycle[0]}"
+    cycle = _cycle_text(result.witness_cycle)
     for rank in result.deadlocked:
         ref = result.blocked_ops.get(rank)
         cond = result.conditions.get(rank)

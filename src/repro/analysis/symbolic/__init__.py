@@ -3,7 +3,7 @@
 Layers (each a module, bottom-up):
 
 * :mod:`.sexpr` — the affine symbolic value domain and conditions;
-* :mod:`.cfg` — per-function CFGs and the module call graph;
+* :mod:`.cfg` — the module call graph (helpers, recursion, constants);
 * :mod:`.symexec` — abstract interpretation of rank programs into
   rank-parametric term trees, plus concrete instantiation;
 * :mod:`.fragments` — the ``SEQ-DETERMINISTIC`` /

@@ -1,17 +1,13 @@
-"""Interprocedural control-flow scaffolding for the symbolic extractor.
+"""The module call graph the symbolic extractor inlines along.
 
-Two structures are built straight from the module AST, before any
-abstract interpretation runs:
-
-* a per-function **control-flow graph** of basic blocks (statement
-  runs) connected by labeled edges (``next``, ``true``/``false``
-  branch arms, ``loop``/``back``/``exit`` for loops), used for loop
-  discovery and for the provenance the classifier reports; and
-* a module **call graph** over every function, with its strongly
-  connected components. Helper generators in a trivial SCC are
-  inlinable at their ``yield from`` call sites; anything on a cycle
-  (direct or mutual recursion) is not, and the extractor reports the
-  offending call instead of diverging.
+Built straight from the module AST, before any abstract interpretation
+runs: a **call graph** over every module-level function, with its
+strongly connected components, and the module's integer constants.
+Helper generators in a trivial SCC are inlinable at their ``yield
+from`` call sites; anything on a cycle (direct or mutual recursion) is
+not, and the extractor reports the offending call instead of
+diverging. Loops and branches need no graph of their own:
+:mod:`.symexec` walks the statements of each function body directly.
 """
 from __future__ import annotations
 
@@ -19,154 +15,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-
-@dataclass
-class BasicBlock:
-    """A maximal straight-line run of statements."""
-
-    block_id: int
-    statements: List[ast.stmt] = field(default_factory=list)
-    #: Outgoing edges as ``(label, target block id)`` pairs.
-    successors: List[Tuple[str, int]] = field(default_factory=list)
-
-    @property
-    def first_line(self) -> Optional[int]:
-        return self.statements[0].lineno if self.statements else None
-
-
-@dataclass
-class LoopInfo:
-    """One source loop discovered during CFG construction."""
-
-    node: ast.stmt  # ast.For | ast.While
-    header_block: int
-    lineno: int
-
-    @property
-    def kind(self) -> str:
-        return "for" if isinstance(self.node, ast.For) else "while"
-
-
-@dataclass
-class FunctionCFG:
-    """The CFG of one function body."""
-
-    name: str
-    entry: int
-    exit: int
-    blocks: Dict[int, BasicBlock]
-    loops: List[LoopInfo]
-
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    def edge_count(self) -> int:
-        return sum(len(b.successors) for b in self.blocks.values())
-
-
-class _CFGBuilder:
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.blocks: Dict[int, BasicBlock] = {}
-        self.loops: List[LoopInfo] = []
-        self._next_id = 0
-
-    def new_block(self) -> BasicBlock:
-        block = BasicBlock(self._next_id)
-        self.blocks[self._next_id] = block
-        self._next_id += 1
-        return block
-
-    def link(self, src: BasicBlock, label: str, dst: BasicBlock) -> None:
-        src.successors.append((label, dst.block_id))
-
-    def build(self, body: List[ast.stmt]) -> FunctionCFG:
-        entry = self.new_block()
-        exit_block = self.new_block()
-        last = self._emit(body, entry, exit_block)
-        if last is not None:
-            self.link(last, "next", exit_block)
-        return FunctionCFG(
-            name=self.name,
-            entry=entry.block_id,
-            exit=exit_block.block_id,
-            blocks=self.blocks,
-            loops=self.loops,
-        )
-
-    def _emit(
-        self,
-        body: List[ast.stmt],
-        current: BasicBlock,
-        exit_block: BasicBlock,
-    ) -> Optional[BasicBlock]:
-        """Emit ``body`` starting in ``current``; returns the open block
-        control falls out of (None when all paths left the body)."""
-        for stmt in body:
-            if current is None:
-                # Unreachable code after a return/raise: keep it in a
-                # fresh disconnected block so provenance still resolves.
-                current = self.new_block()
-            if isinstance(stmt, ast.If):
-                current.statements.append(stmt)
-                then_block = self.new_block()
-                self.link(current, "true", then_block)
-                then_end = self._emit(stmt.body, then_block, exit_block)
-                else_end: Optional[BasicBlock]
-                if stmt.orelse:
-                    else_block = self.new_block()
-                    self.link(current, "false", else_block)
-                    else_end = self._emit(stmt.orelse, else_block, exit_block)
-                else:
-                    else_end = current  # fall through the false arm
-                join = self.new_block()
-                if then_end is not None:
-                    self.link(then_end, "next", join)
-                if else_end is not None:
-                    label = "false" if else_end is current else "next"
-                    self.link(else_end, label, join)
-                current = join
-            elif isinstance(stmt, (ast.For, ast.While)):
-                header = self.new_block()
-                header.statements.append(stmt)
-                self.link(current, "next", header)
-                self.loops.append(
-                    LoopInfo(
-                        node=stmt,
-                        header_block=header.block_id,
-                        lineno=stmt.lineno,
-                    )
-                )
-                loop_body = self.new_block()
-                self.link(header, "loop", loop_body)
-                body_end = self._emit(stmt.body, loop_body, exit_block)
-                if body_end is not None:
-                    self.link(body_end, "back", header)
-                after = self.new_block()
-                self.link(header, "exit", after)
-                if stmt.orelse:
-                    else_end = self._emit(after.statements and [] or stmt.orelse,
-                                          after, exit_block)
-                    current = else_end if else_end is not None else after
-                else:
-                    current = after
-            elif isinstance(stmt, (ast.Return, ast.Raise)):
-                current.statements.append(stmt)
-                self.link(current, "next", exit_block)
-                current = None  # type: ignore[assignment]
-            else:
-                current.statements.append(stmt)
-        return current
-
-
-def build_cfg(fn: ast.FunctionDef) -> FunctionCFG:
-    """Build the control-flow graph of ``fn``'s body."""
-    return _CFGBuilder(fn.name).build(fn.body)
-
-
-# ----------------------------------------------------------------------
-# Call graph
-# ----------------------------------------------------------------------
 
 @dataclass
 class CallGraph:

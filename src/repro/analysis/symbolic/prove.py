@@ -40,7 +40,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.symbolic.fragments import (
@@ -70,6 +69,7 @@ from repro.analysis.symbolic.symexec import (
 from repro.analysis.witness import WitnessSchedule
 from repro.mpi.communicator import CommRegistry
 from repro.obs.metrics import MetricsRegistry
+from repro.programfile import ProgramFile
 
 
 class ProveVerdict(Enum):
@@ -380,6 +380,8 @@ def prove_path(
     *,
     metrics: Optional[MetricsRegistry] = None,
 ) -> List[ProveResult]:
-    """Prove every rank program in a source file."""
-    source = Path(path).read_text()
-    return prove_source(source, str(path), metrics=metrics)
+    """Prove every rank program in a source file. The file is read by
+    :class:`repro.programfile.ProgramFile`, whose ``ProgramFileError``
+    says where it does not parse."""
+    tree = ProgramFile(str(path)).tree
+    return prove_module(tree, str(path), metrics=metrics)

@@ -37,7 +37,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.astlint import RankProgram, find_rank_programs
 from repro.analysis.symbolic import sexpr
 from repro.analysis.symbolic.cfg import CallGraph, build_call_graph
 from repro.analysis.symbolic.sexpr import (
@@ -63,6 +62,7 @@ from repro.mpi.constants import (
     is_send_kind,
 )
 from repro.mpi.ops import Operation
+from repro.programfile import RankProgram, find_rank_programs
 from repro.runtime.program import Call
 from repro.runtime.recording import CallRecorder
 

@@ -306,11 +306,12 @@ class Session:
         """Wait-state blame analysis. Returns ``(report, outcome)``.
 
         ``run`` is a recorded artifact (``outcome`` is None), a
-        rank-program ``.py`` file (``ranks`` its default world size) or
-        what :meth:`run` accepts. Programs go through :meth:`run` and
-        are blamed from what this session's tracer saw; a session that
-        does not observe runs them on a sibling that does, on the same
-        backend.
+        rank-program ``.py`` file (its one job, as ``repro lint`` reads
+        it: :mod:`repro.programfile`; ``ranks`` is its default world
+        size) or what :meth:`run` accepts. Programs go through
+        :meth:`run` and are blamed from what this session's tracer saw;
+        a session that does not observe runs them on a sibling that
+        does, on the same backend.
         """
         from repro.obs.blame import blame_artifact, load_programs
         from repro.obs.causal import analyze_events

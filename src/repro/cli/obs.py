@@ -15,7 +15,7 @@ from repro.cli.common import (
 )
 from repro.docs import REGISTRY, doc_header, sniff_path, supported_line
 from repro.obs.observer import Observer
-from repro.util.errors import TraceError
+from repro.util.errors import ReproError, TraceError
 
 
 def _print_obs(
@@ -218,7 +218,15 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         live_out=_out_path(args, "jsonl"),
         on_snapshot=on_snapshot,
     )
-    session.run(programs)
+    try:
+        session.run(programs)
+    except Exception as exc:
+        from repro.programfile import program_error
+
+        said = program_error(target, exc)
+        if said is None:
+            raise
+        return usage_error(f"{target}: {said}")
     verdict = session.finalize_live()
     assert verdict is not None and session.live is not None
     if args.openmetrics:
@@ -265,7 +273,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_blame(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.obs.blame import blame_document, check_agreement, render_blame
-    from repro.util.errors import ReproError
 
     source = args.run
     try:
@@ -279,6 +286,13 @@ def _cmd_blame(args: argparse.Namespace) -> int:
         ).blame(source, ranks=args.ranks)
     except (OSError, ReproError) as exc:
         return usage_error(f"blame: cannot analyze {source}: {exc}")
+    except Exception as exc:
+        from repro.programfile import program_error
+
+        said = program_error(source, exc)
+        if said is None:
+            raise
+        return usage_error(f"blame: cannot analyze {source}: {said}")
     roots = tuple(report.root_causes)
     if roots:
         print(f"blame verdict: deadlock rooted at ranks {roots}")

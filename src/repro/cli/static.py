@@ -17,6 +17,7 @@ from repro.cli.common import (
 from repro.cli.obs import _print_obs
 from repro.docs import doc_header
 from repro.obs.observer import Observer, make_observer
+from repro.programfile import ProgramFile, ProgramFileError
 from repro.util.errors import ReproError, TraceError
 
 
@@ -39,6 +40,14 @@ def _export_obs(
             deadlocked=deadlocked,
         )
         _print_obs(args, observer)
+
+
+def _unreadable(command: str, path: str, exc: Exception) -> int:
+    """The usage error of ``classify``/``prove`` for a file
+    :class:`ProgramFile` could not read or parse."""
+    if isinstance(exc, ProgramFileError):
+        return usage_error(f"{command}: {path}:{exc.lineno}: {exc.reason}")
+    return usage_error(f"{command}: cannot read {path}: {exc}")
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -133,7 +142,7 @@ def _save_witness(witness: Any, directory: str, path: str, label: str) -> None:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    from repro.analysis.symbolic import ProveVerdict, prove_source
+    from repro.analysis.symbolic import ProveVerdict, prove_module
 
     observer = _observer(args)
     if args.witness_dir:
@@ -143,19 +152,12 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     any_open = False
     for path in args.paths:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
-            return usage_error(f"prove: cannot read {path}: {exc}")
-        try:
-            results = prove_source(
-                source, path, metrics=observer.metrics
-            )
-        except SyntaxError as exc:
-            return usage_error(
-                f"prove: {path}:{exc.lineno or 1}: source does not "
-                f"parse: {exc.msg}"
-            )
+            program_file = ProgramFile(path)
+        except (OSError, ProgramFileError) as exc:
+            return _unreadable("prove", path, exc)
+        results = prove_module(
+            program_file.tree, path, metrics=observer.metrics
+        )
         doc[path] = []
         print(f"{path}:")
         if not results:
@@ -181,23 +183,16 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from repro.analysis.symbolic import classify_source
+    from repro.analysis.symbolic import classify_module
 
     doc: Dict[str, list] = {}
     worst = 0
     for path in args.paths:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
-            return usage_error(f"classify: cannot read {path}: {exc}")
-        try:
-            classifications = classify_source(source, path)
-        except SyntaxError as exc:
-            return usage_error(
-                f"classify: {path}:{exc.lineno or 1}: source does not "
-                f"parse: {exc.msg}"
-            )
+            program_file = ProgramFile(path)
+        except (OSError, ProgramFileError) as exc:
+            return _unreadable("classify", path, exc)
+        classifications = classify_module(program_file.tree, path)
         doc[path] = []
         print(f"{path}:")
         if not classifications:
@@ -343,9 +338,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     any_error = True
             doc[path][prog.label] = entry
         if getattr(args, "prove", False):
-            from repro.analysis.symbolic import ProveVerdict, prove_path
+            from repro.analysis.symbolic import ProveVerdict, prove_module
 
-            for presult in prove_path(path, metrics=observer.metrics):
+            for presult in prove_module(
+                report.program_file.tree, path, metrics=observer.metrics
+            ):
                 print(
                     f"  prove {presult.name}: "
                     f"{_describe_prove(presult)}"

@@ -6,9 +6,9 @@ Two input modes feed :func:`repro.obs.causal.analyze_events`:
   a raw ``--out FILE --format jsonl`` stream): the wait-state events are parsed back
   out of the artifact (:func:`blame_artifact`); malformed input raises
   :class:`~repro.util.errors.TraceError` so the CLI can exit 2.
-* **live mode** — a Python rank-program file (the `repro lint`
-  conventions: ``LINT_PROGRAMS`` / ``LINT_RANKS`` / a module-level
-  generator function): :func:`load_programs` reads the file and
+* **live mode** — a Python rank-program file, meaning what it means to
+  ``repro lint`` (:mod:`repro.programfile`, the one reader):
+  :func:`load_programs` asks the reader for the file's one job and
   :meth:`repro.api.Session.blame` runs it like any other job, on an
   observing session, and blames from that session's tracer. It also
   returns the runtime outcome so callers can cross-check the blame root
@@ -16,8 +16,6 @@ Two input modes feed :func:`repro.obs.causal.analyze_events`:
 """
 from __future__ import annotations
 
-import importlib.util
-import inspect
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.causal import BlameReport, analyze_events
@@ -74,38 +72,25 @@ def blame_artifact(path: str) -> BlameReport:
 
 
 def load_programs(path: str, default_ranks: int) -> List[Any]:
-    """Rank programs from a Python file, `repro lint` conventions."""
-    spec = importlib.util.spec_from_file_location(
-        "_repro_blame_target", path
-    )
-    if spec is None or spec.loader is None:
-        raise TraceError(f"cannot import {path}")
-    module = importlib.util.module_from_spec(spec)
+    """The one job of a rank-program file, for the commands that run
+    it (``blame``, ``watch``, ``repro serve`` program jobs).
+
+    :meth:`repro.programfile.ProgramFile.run_set` decides what that is;
+    a file that cannot be read, parsed or executed, or that holds no
+    job or several, is a ``TraceError`` (exit 2).
+    """
+    from repro.programfile import ProgramFile, ProgramFileError
+
     try:
-        spec.loader.exec_module(module)
-    except SystemExit as exc:  # not an Exception: would end the caller
-        raise TraceError(
-            f"cannot import {path}: module exited during import"
-        ) from exc
-    except Exception as exc:  # import errors are user input errors
+        return ProgramFile(path).run_set(default_ranks)
+    except OSError as exc:
         raise TraceError(f"cannot import {path}: {exc}") from exc
-    programs = getattr(module, "LINT_PROGRAMS", None)
-    if programs is not None:
-        return list(programs)
-    ranks = getattr(module, "LINT_RANKS", default_ranks)
-    functions = [
-        value
-        for name, value in sorted(vars(module).items())
-        if not name.startswith("_") and inspect.isgeneratorfunction(value)
-    ]
-    if not functions:
-        raise TraceError(
-            f"{path}: no rank programs found (no LINT_PROGRAMS and no "
-            "module-level generator function)"
-        )
-    if len(functions) == 1:
-        return [functions[0]] * ranks
-    return list(functions)
+    except ProgramFileError as exc:
+        cause = exc.__cause__
+        if cause is None:  # no job, or several: the reader's own words
+            raise TraceError(str(exc)) from exc
+        detail = cause if isinstance(cause, Exception) else exc.reason
+        raise TraceError(f"cannot import {path}: {detail}") from exc
 
 
 # ---------------------------------------------------------------------------

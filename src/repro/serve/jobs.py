@@ -26,7 +26,7 @@ import repro.analysis  # noqa: F401
 import repro.obs.live  # noqa: F401
 from repro.mpi.serialize import matched_trace_from_dict
 from repro.obs.blame import blame_document, load_programs
-from repro.util.errors import ReproError
+from repro.util.errors import ReproError, TraceError
 from repro.workloads.named import NAMED_WORKLOADS
 
 #: Job lifecycle states.
@@ -51,7 +51,8 @@ class JobSpec:
     """What one job analyzes and how.
 
     ``kind``: ``workload`` (built-in, by name), ``program`` (uploaded
-    Python rank-program source, `repro lint` conventions), or ``trace``
+    Python rank-program source, read by :mod:`repro.programfile` like
+    any rank-program file), or ``trace``
     (uploaded matched-trace JSON document). ``op``: ``analyze`` runs
     record + distributed detection, ``verify`` the bounded
     wildcard-aware verifier, ``blame`` the wait-state blame analysis
@@ -205,20 +206,24 @@ def _run_program_source(session: Any, spec: JobSpec) -> Dict[str, Any]:
         handle.flush()
         if spec.op == "verify":
             report = session.verify(handle.name, ranks=spec.ranks)
-            programs = {
+            verdicts = {
                 prog.label: prog.verdict_name for prog in report.programs
             }
             has_deadlock = report.has_deadlock or bool(report.errors())
             return {
                 "verdict": "deadlock" if has_deadlock else "clean",
-                "programs": programs,
+                "programs": verdicts,
                 "inconclusive": report.inconclusive,
                 "exit_code": (
                     1 if has_deadlock else 2 if report.inconclusive else 0
                 ),
             }
+        try:
+            programs = load_programs(handle.name, spec.ranks)
+        except TraceError as exc:
+            raise JobError(str(exc)) from exc
         if spec.op == "blame":
-            report, outcome = session.blame(handle.name, ranks=spec.ranks)
+            report, outcome = session.blame(programs)
             doc = blame_document(report, source="serve")
             doc["verdict"] = (
                 "deadlock" if outcome is not None and outcome.has_deadlock
@@ -226,7 +231,6 @@ def _run_program_source(session: Any, spec: JobSpec) -> Dict[str, Any]:
             )
             doc["exit_code"] = 1 if doc["root_causes"] else 0
             return doc
-        programs = load_programs(handle.name, spec.ranks)
         return _outcome_doc(session.run(programs))
 
 

@@ -10,6 +10,7 @@
   finding, 2 usage error.
 """
 import json
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +226,69 @@ class TestExitCodeContract:
     def test_unreadable_trace_is_two(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["analyze", str(missing)]) == 2
+
+
+class TestARankProgramThatRaises:
+    """`blame FILE.py` and `watch FILE.py` run the user's code: an
+    exception of the program's own is a usage error (one line, exit 2),
+    not a traceback with exit 1 — which the contract reads as "deadlock
+    found" and `watch` as SOFT-HANG. A bug of the tool keeps its
+    traceback."""
+
+    FIXTURES = Path(__file__).resolve().parents[1] / "fixtures/program_files"
+
+    @pytest.mark.parametrize("command", ["blame", "watch"])
+    def test_the_programs_own_exception_is_one_line_and_exit_2(
+        self, command, capsys
+    ):
+        path = str(self.FIXTURES / "raising_program.py")
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert "rank program raised ValueError: user bug" in line
+        assert line.endswith(f"({path}:6)")
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", ["blame", "watch"])
+    def test_an_mpi_usage_error_is_one_line_and_exit_2(self, command, capsys):
+        path = str(self.FIXTURES / "usage_error_program.py")
+        assert main([command, path, "-n", "2"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "reuses already-completed request 0" in line
+
+    @pytest.mark.parametrize("command", ["blame", "watch"])
+    def test_an_exception_of_the_tool_still_surfaces(
+        self, command, monkeypatch
+    ):
+        import repro.runtime.engine as engine
+
+        def broken(self, rank):
+            raise RuntimeError("tool bug")
+
+        monkeypatch.setattr(engine.Engine, "_step", broken)
+        with pytest.raises(RuntimeError, match="tool bug"):
+            main([command, str(self.FIXTURES / "one_program.py")])
+
+    def test_a_protocol_error_under_watch_still_surfaces(self, monkeypatch):
+        import repro.runtime.engine as engine
+        from repro.util.errors import ProtocolError
+
+        def broken(self, rank):
+            raise ProtocolError("rank 0 woken twice before stepping")
+
+        monkeypatch.setattr(engine.Engine, "_step", broken)
+        with pytest.raises(ProtocolError):
+            main(["watch", str(self.FIXTURES / "one_program.py")])
+
+    def test_what_the_tools_own_code_raises_is_not_the_programs(
+        self, tmp_path
+    ):
+        program = tmp_path / "calls_the_tool.py"
+        program.write_text(
+            "from repro.util.lazy import lazy_exports\n"
+            "def meet(rank):\n"
+            "    yield rank.barrier()\n"
+            "    lazy_exports({}, None)  # KeyError inside util/lazy.py\n"
+        )
+        with pytest.raises(KeyError):
+            main(["watch", str(program), "-n", "2"])

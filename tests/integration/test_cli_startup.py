@@ -118,6 +118,18 @@ def test_the_static_commands_load_no_driver(command, loads_detector):
     assert _loaded(run, DRIVER) == allowed
 
 
+@pytest.mark.parametrize("command", ["blame", "watch"])
+def test_running_a_program_file_loads_no_static_analysis(command):
+    """The runners open a ``.py`` file through ``repro.programfile``,
+    which is the discovery rule of ``repro lint`` without the package
+    that lints."""
+    run = _cold(command, LAMMPS, "-n", "4")
+    assert run["code"] == (1 if command == "blame" else 2)
+    assert "rooted at ranks (0, 1, 2, 3" in run["out"]
+    assert "repro.programfile" in run["modules"]
+    assert _loaded(run, ("repro.analysis",)) == []
+
+
 def test_submit_reaches_for_the_client_only_when_it_runs():
     run = _cold("submit", "fig2a", "--server", "127.0.0.1:1")
     assert run["code"] == 2 and "cannot connect" in run["out"]

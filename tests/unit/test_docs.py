@@ -66,6 +66,15 @@ class TestRegistry:
         assert by_hand == []
 
 
+def _terminal_name(node):
+    """``f`` of a call's ``f(...)`` or ``x.y.f(...)`` target."""
+    import ast
+
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 class TestOneDriver:
     def test_only_the_session_runs_the_tool_and_one_function_exports(self):
         """Under ``cli/``, ``serve/`` and ``obs/`` nothing runs rank
@@ -82,15 +91,10 @@ class TestOneDriver:
             "write_chrome_trace", "write_jsonl",
         }
 
-        def terminal_name(node):
-            if isinstance(node, ast.Attribute):
-                return node.attr
-            return node.id if isinstance(node, ast.Name) else None
-
         def offence(call):
-            name = terminal_name(call.func)
+            name = _terminal_name(call.func)
             if name == "run" and isinstance(call.func, ast.Attribute):
-                owner = terminal_name(call.func.value)
+                owner = _terminal_name(call.func.value)
                 return "backend.run" if owner == "backend" else None
             return name if name in forbidden else None
 
@@ -113,6 +117,46 @@ class TestOneDriver:
                 ]
         assert exempted == 1
         assert offences == []
+
+
+class TestOneReader:
+    def test_only_the_reader_imports_a_rank_program_file(self):
+        """Under ``src/repro`` one module turns a ``.py`` path into
+        programs: nothing but ``repro/programfile.py`` imports a file by
+        path, or asks at run time what a generator function is."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        forbidden = {
+            "spec_from_file_location", "module_from_spec", "exec_module",
+            "isgeneratorfunction",
+        }
+        root = Path(repro.__file__).parent
+        callers = {
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and _terminal_name(node.func) in forbidden
+        }
+        assert callers == {"programfile.py"}
+
+    def test_the_discovery_rule_is_defined_once(self):
+        import repro.analysis
+        import repro.analysis.astlint
+        import repro.analysis.symbolic.symexec
+        from repro import programfile
+
+        assert (
+            repro.analysis.find_rank_programs
+            is repro.analysis.astlint.find_rank_programs
+            is repro.analysis.symbolic.symexec.find_rank_programs
+            is programfile.find_rank_programs
+        )
+        assert callable(repro.analysis.lint_source)
+        assert callable(repro.analysis.symbolic.prove_path)
 
 
 class TestParseFormat:

@@ -11,7 +11,7 @@ from repro.analysis.symbolic import (
     summarize_source,
 )
 from repro.analysis.symbolic import sexpr
-from repro.analysis.symbolic.cfg import build_call_graph, build_cfg
+from repro.analysis.symbolic.cfg import build_call_graph
 from repro.analysis.symbolic.symexec import Branch, Repeat, SymOp
 
 
@@ -61,25 +61,6 @@ def test_cond_negation_and_evaluation():
 # ----------------------------------------------------------------------
 # cfg
 # ----------------------------------------------------------------------
-
-def test_cfg_finds_loops_and_branches():
-    tree = ast.parse(
-        "def f(r):\n"
-        "    if r.rank == 0:\n"
-        "        yield r.send(1)\n"
-        "    for i in range(3):\n"
-        "        yield r.recv()\n"
-    )
-    cfg = build_cfg(tree.body[0])
-    assert len(cfg.loops) == 1
-    assert cfg.loops[0].kind == "for"
-    labels = {
-        label
-        for block in cfg.blocks.values()
-        for label, _ in block.successors
-    }
-    assert {"true", "loop", "back", "exit"} <= labels
-
 
 def test_call_graph_detects_recursion():
     tree = ast.parse(
