@@ -1,85 +1,44 @@
-#!/usr/bin/env python3
-"""Differential dump of what the commands that run the tool print and
-write, for two checkouts.
+"""Matrix: what the commands print and write (``PYTHONPATH=src``).
 
 A change to what drives ``record``/``analyze``/``demo``/``blame`` (or to
 the ``--obs*`` export under ``prove``/``verify``), or to how a command
 reads a rank-program file (``repro/programfile.py``), must leave stdout,
-the exit code and every written artifact where they were. This script
-is the check, in the ``diff_recorders.py`` pattern: run ``dump`` once in
-each checkout (from its root, so ``src`` and ``examples/`` are that
-checkout's), then ``compare``. Both dumps are made by *this* file, run
-by its path, so a parent needs nothing copied in: the matrix and the
-fixture files (``tests/fixtures/program_files``, found next to the
-script) are the same on both sides.
+the exit code and every written artifact where they were.
 
-    cd PARENT && PYTHONPATH=src python CHANGE/benchmarks/diff_cli.py dump /tmp/parent.json
-    cd CHANGE && PYTHONPATH=src python benchmarks/diff_cli.py dump /tmp/a.json
-    python benchmarks/diff_cli.py compare /tmp/parent.json /tmp/a.json
+Every line of the matrix (the tables below: 11 workloads x
+``record``/``analyze``/``demo`` x flags, ``OTHER_GROUPS``, the fixture
+rank-program files next to this checkout's script x
+``FIXTURE_COMMANDS``, every ``--help``) is one in-process
+``repro.cli.main(argv)`` in a scratch directory holding an ``examples``
+and a ``fixtures`` link and the files earlier lines of its group left.
+Its entry is the exit code, masked stdout and stderr (an uncaught
+exception is exit 1 plus a ``Traceback:`` stderr line), and per written
+file the SHA-256 of its masked text.
 
-Every line of the matrix is one in-process ``repro.cli.main(argv)`` in a
-scratch directory that holds an ``examples`` and a ``fixtures`` link
-and, for ``analyze``, the trace ``t.json`` the group's first ``record``
-line wrote. A line's
-entry is its exit code, its masked stdout and stderr, and per written
-file the SHA-256 of its masked text. The matrix:
+Masking is ``harness.MASK`` with the checkout and the scratch directory
+spelled ``.``. Four readings are not numbers. A sharded trace holds the
+coordinator's events in the order the workers answered, so its events
+are sorted; its ``profile`` block names the slower shard of every
+round, so it is reduced to its key set (and ``repro profile`` on such a
+trace is left out). Live ``blame`` under the sharded backend orders its
+rows by blocked time read off two workers' clocks, so its stdout lines
+are sorted.
 
-* all 11 named workloads at ``-n 8`` through ``record`` (plain,
-  ``--seed 7``, ``--obs``, ``--obs-trace``, ``--format jsonl``, without
-  an output path) and through ``analyze t.json`` and ``demo W`` with
-  each of ``RUN_FLAGS``: ``--seed``, ``--centralized``, ``--adapt``,
-  ``--checks``, ``--obs``, ``--obs-trace``, ``--format
-  json|jsonl|html|dot``, ``--simplify``, ``--report`` + ``--dot``,
-  ``--backend sharded`` alone and with artifacts;
-* ``blame`` on rank-program files with both backends, on a Chrome trace
-  and on a JSONL stream, ``stats``/``profile`` on the same artifacts;
-* ``prove``/``verify`` with ``--obs``, ``--obs-trace``, ``--format
-  jsonl``; ``lint``/``classify`` plain; ``watch`` on a workload;
-* every fixture rank-program file (one program, a helper generator, a
-  dataclass under postponed annotations, two programs, ``LINT_PROGRAMS``,
-  no program, exit / raise at import, a syntax error, a program that
-  raises, one that misuses MPI) through ``lint -v``, ``classify``,
-  ``prove``, ``verify``, ``blame`` and ``watch``;
-* the unknown-workload errors of ``record``, ``demo`` and ``watch``;
-* ``repro --help`` and ``repro <command> --help`` for every command.
-
-Masking: wall-clock readings are the run-to-run noise, and every one of
-them is printed or serialized as a decimal fraction, so ``MASK`` (one
-regex, below) replaces each number written with a fraction or an
-exponent, and the padding in front of it, by ``#`` in stdout and in file
-text before hashing. Integers (ranks, counts, sequence numbers, the
-engine's logical clock) stay. Four readings are not numbers. A sharded
-trace holds the coordinator's events in the order the workers answered,
-so its events are sorted; its ``profile`` block names the slower shard
-of every round, so it is reduced to its key set (and ``repro profile``
-on such a trace is left out of the matrix). Live ``blame`` under the
-sharded backend orders its rows by blocked time read off two workers'
-clocks (two of eight runs of one checkout swap two groups of rows), so
-the lines of its stdout are sorted. Call-site locations and ``OSError``
-texts spell the checkout and the scratch directory, which are replaced
-by ``.``.
-
-Deadlock reports are hashed in two parts: the flight-recorder tails
-(``flight_tails`` of the JSON report, the "Flight recorder" section of
-the HTML report) and everything else. For an inline ``demo`` line that
-found a deadlock the entry also holds ``session_flight_tails``: the same
-part of the report ``Session(seed, backend).run(programs)`` renders.
-``compare`` expects every entry equal except those tails, and there it
-expects the right-hand side to equal its own ``session_flight_tails``.
+A deadlock report is hashed in two parts: its flight-recorder tails and
+everything else. An inline ``demo`` line that found a deadlock also
+holds ``session_flight_tails``, the same part of what
+``Session(seed).run(programs)`` renders; ``compare`` tolerates tails
+that moved to those, and nothing else.
 """
 import contextlib
-import hashlib
 import io
 import json
 import os
 import re
 import shutil
-import sys
 import tempfile
 
-#: The one mask: any number written with a fraction or an exponent,
-#: with the column padding before it.
-MASK = re.compile(r" *(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)")
+import harness
 
 #: The flight-recorder section of an HTML deadlock report.
 HTML_TAILS = re.compile(
@@ -91,7 +50,9 @@ ROOT = os.getcwd()
 
 #: The rank-program fixture files, the same for both checkouts.
 FIXTURES = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)
+    ))),
     "tests", "fixtures", "program_files",
 )
 #: What every scratch directory links to.
@@ -219,13 +180,7 @@ def _groups():
 
 
 def _mask(text):
-    for directory in (os.getcwd(), ROOT):
-        text = text.replace(directory, ".")
-    return MASK.sub("#", text)
-
-
-def _sha(text):
-    return hashlib.sha256(_mask(text).encode("utf-8")).hexdigest()
+    return harness.mask(text, os.getcwd(), ROOT)
 
 
 def _split_tails(name, text):
@@ -259,7 +214,10 @@ def _split_tails(name, text):
 
 def _file_entry(name, text):
     body, tails = _split_tails(name, text)
-    return {"sha256": _sha(body), "flight_tails": tails and _sha(tails)}
+    return {
+        "sha256": harness.sha(_mask(body)),
+        "flight_tails": tails and harness.sha(_mask(tails)),
+    }
 
 
 def _session_reports(argv):
@@ -329,10 +287,7 @@ def _run_line(argv, keep):
     return entry
 
 
-def dump(path):
-    root = ROOT
-    path = os.path.abspath(path)
-    out = {}
+def entries():
     for label, keep, lines in _groups():
         scratch = tempfile.mkdtemp(prefix="diff_cli_")
         try:
@@ -340,65 +295,20 @@ def dump(path):
                 os.symlink(target, os.path.join(scratch, link))
             os.chdir(scratch)
             for argv in lines:
-                out[f"{label}: repro {' '.join(argv)}"] = _run_line(
-                    argv, keep
-                )
+                yield f"{label}: repro {' '.join(argv)}", _run_line(argv, keep)
         finally:
-            os.chdir(root)
+            os.chdir(ROOT)
             shutil.rmtree(scratch, ignore_errors=True)
-    with open(path, "w") as fh:
-        json.dump(out, fh, sort_keys=True, indent=1)
-    print(f"{len(out)} command lines -> {path}")
-    return 0
 
 
-def compare(left_path, right_path):
-    with open(left_path) as fh:
-        left = json.load(fh)
-    with open(right_path) as fh:
-        right = json.load(fh)
-    diffs, tails_moved, tails_off_session = [], [], []
-    for line in sorted(set(left) | set(right)):
-        a, b = left.get(line), right.get(line)
-        if a is None or b is None:
-            diffs.append((line, "line", a and "present", b and "present"))
-            continue
-        for key in ("exit", "stdout", "stderr"):
-            if a[key] != b[key]:
-                diffs.append((line, key, a[key], b[key]))
-        for name in sorted(set(a["files"]) | set(b["files"])):
-            fa, fb = a["files"].get(name), b["files"].get(name)
-            if fa is None or fb is None or fa["sha256"] != fb["sha256"]:
-                diffs.append((line, name, fa, fb))
-                continue
-            if fa["flight_tails"] != fb["flight_tails"]:
-                tails_moved.append(f"{line} [{name}]")
-                if fb["flight_tails"] != fb.get("session_flight_tails"):
-                    tails_off_session.append(f"{line} [{name}]")
-    print(
-        f"{len(left)} command lines compared; {len(diffs)} differences "
-        f"outside flight tails; {len(tails_moved)} reports whose flight "
-        f"tails moved, {len(tails_off_session)} of them not to "
-        "Session.run's"
-    )
-    for line, what, a, b in diffs:
-        print(f"{line} [{what}]")
-        print("   left: ", json.dumps(a)[:400])
-        print("   right:", json.dumps(b)[:400])
-    for line in tails_moved:
-        mark = "NOT Session.run's" if line in tails_off_session else "ok"
-        print(f"flight tails moved ({mark}): {line}")
-    return 1 if diffs or tails_off_session else 0
+def tolerate(where, _left, right):
+    """A report's flight tails may move, to ``Session.run``'s only; the
+    reference tails themselves are not an output of the line."""
+    if where[-1] == "session_flight_tails":
+        return "reference tails"
+    if where[-1] == "flight_tails":
+        entry = right[where[0]]["files"][where[2]]
+        if entry["flight_tails"] == entry.get("session_flight_tails"):
+            return "flight tails moved to Session.run's"
+    return None
 
-
-def main(argv):
-    if len(argv) == 2 and argv[0] == "dump":
-        return dump(argv[1])
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(argv[1], argv[2])
-    print(__doc__, file=sys.stderr)
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

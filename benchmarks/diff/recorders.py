@@ -1,25 +1,12 @@
-#!/usr/bin/env python3
-"""Differential dump of everything that records calls, for two checkouts.
+"""Matrix: everything that records calls (``PYTHONPATH=src:.``).
 
 A change to `repro.runtime.recording` or to one of its three callers
 (the engine, `extract_programs`, `instantiate`) must leave every
-recorded sequence where it was. This script is the check: run ``dump``
-once in each checkout (from its root, so ``examples/`` and ``tests/``
-resolve and call-site locations read the same; a parent that predates
-this script needs it and ``tests/property/test_recorder_agreement.py``
-copied in), then ``compare``.
+recorded sequence where it was (``.`` on the path: programs and sources
+are borrowed from ``tests/``).
 
-    PYTHONPATH=src:. python benchmarks/diff_recorders.py dump /tmp/a.json
-    python benchmarks/diff_recorders.py compare /tmp/parent.json /tmp/a.json
-
-(a) SHA-256 of the `save_trace` bytes of `run_programs` at three engine
-    seeds, or the error it raised, for `stress_programs(64)`,
-    `lammps_skeleton_programs(16)`, `wildcard_deadlock_programs(16)`,
-    `fig2a`/`fig2b`, the agreement suite's program using communicators,
-    persistent requests, `sendrecv` and PROC_NULL, the five persistent-request
-    misuse programs, two persistent-request idioms through a stubbed
-    `Test`/`Waitany`, and `safe_program_set`/`mutate_program_set` seeds
-    0-199 (odd seeds mutated) with wildcards off and on;
+(a) SHA-256 of the `save_trace` text of `run_programs` at three engine
+    seeds, or the error it raised, for every set of `_program_sets()`;
 (b) `extract_programs` on the same sets: every field of every
     operation, `exact`, `wildcard_exact`, `truncated`, notes;
 (c) `instantiate()` at p = 2..9 on the four sources of
@@ -30,14 +17,23 @@ copied in), then ``compare``.
 """
 import dataclasses
 import glob
-import hashlib
-import json
 import os
-import sys
 import tempfile
+
+import harness
 
 SEEDS = range(200)
 ENGINE_SEEDS = (0, 1, 2)
+
+#: The seven programs below are recorded with this file as their call
+#: site; however the file was reached, it is spelled ``recorders.py``.
+HERE = (os.path.abspath(__file__), os.path.relpath(__file__))
+
+
+def _here(text):
+    for spelling in HERE:
+        text = text.replace(spelling, "recorders.py")
+    return text
 
 
 def start_on_active(rank):
@@ -101,10 +97,6 @@ def waitany_then_wait(rank):
 
 def _program_sets():
     from repro.workloads import fig2a_programs, fig2b_programs
-    from repro.workloads.randomgen import (
-        mutate_program_set,
-        safe_program_set,
-    )
     from repro.workloads.specmpi import lammps_skeleton_programs
     from repro.workloads.stress import stress_programs
     from repro.workloads.wildcard import wildcard_deadlock_programs
@@ -127,35 +119,19 @@ def _program_sets():
     # from a parent older than that, in the requests of the last Wait.
     yield "idiom-start-failed-test-wait", [start_failed_test_wait] * 2
     yield "idiom-waitany-then-wait", [waitany_then_wait] * 2
-    for wildcards in (False, True):
-        for seed in SEEDS:
-            generated = safe_program_set(
-                2 + seed % 4, 8 + seed % 9, seed, allow_wildcards=wildcards
-            )
-            if seed % 2:
-                generated = mutate_program_set(
-                    generated, seed + 10_000, mutations=1 + seed % 3
-                )
-            yield (
-                f"{'wild' if wildcards else 'det'}-{seed}",
-                generated.programs(),
-            )
-
-
-def _findings(findings):
-    return [
-        [f.check, f.severity.name, f.rank, f.message,
-         list(f.op) if f.op else None, f.location]
-        for f in findings
-    ]
+    for label, generated in harness.random_program_sets(SEEDS):
+        yield label, generated.programs()
 
 
 def _ops(seq):
-    return [dataclasses.asdict(op) for op in seq]
+    return [
+        {**dataclasses.asdict(op), "location": _here(op.location)}
+        for op in seq
+    ]
 
 
-def dump(path):
-    from repro.analysis import extract_programs, lint_path, verify_path
+def entries():
+    from repro.analysis import extract_programs
     from repro.analysis.symbolic import (
         InstantiationError,
         classify_source,
@@ -167,7 +143,6 @@ def dump(path):
     from repro.util.errors import ReproError
     from tests.unit import test_symbolic
 
-    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = os.path.join(tmp, "trace.json")
         for name, programs in _program_sets():
@@ -176,30 +151,26 @@ def dump(path):
                 try:
                     result = run_programs(programs, seed=seed)
                 except ReproError as exc:
-                    # The public class it is caught under.
-                    public = next(
-                        c.__name__ for c in type(exc).__mro__
-                        if c.__module__ == "repro.util.errors"
-                    )
-                    runs.append(f"{public}: {exc}")
+                    runs.append(f"{harness.public_error(exc)}: {exc}")
                     continue
                 save_trace(result.matched, trace_path)
-                with open(trace_path, "rb") as fh:
-                    runs.append(hashlib.sha256(fh.read()).hexdigest())
+                with open(trace_path) as fh:
+                    runs.append(harness.sha(_here(fh.read())))
             ext = extract_programs(programs)
-            out[f"set/{name}"] = {
+            yield f"set/{name}", {
                 "runs": runs,
                 "sequences": [_ops(seq) for seq in ext.sequences],
                 "exact": ext.exact,
                 "wildcard_exact": ext.wildcard_exact,
                 "truncated": sorted(ext.truncated),
-                "notes": _findings(ext.notes),
+                "notes": harness.findings(ext.notes),
             }
     sources = {
         f"test_symbolic.{name}": (getattr(test_symbolic, name), "<test>")
         for name in ("RING", "MASTER", "HALO", "HELPER")
     }
-    for example in sorted(glob.glob("examples/*.py")):
+    examples = sorted(glob.glob("examples/*.py"))
+    for example in examples:
         with open(example) as fh:
             sources[example] = (fh.read(), example)
     for label, (source, filename) in sources.items():
@@ -216,68 +187,13 @@ def dump(path):
                     ]
                 except InstantiationError as exc:
                     seqs = f"InstantiationError: {exc}"
-                out[f"instantiate/{label}/{summary.name}/p={p}"] = seqs
-    for example in sorted(glob.glob("examples/*.py")):
-        lint = lint_path(example)
-        verify = verify_path(example)
-        with open(example) as fh:
-            labels = classify_source(fh.read(), example)
-        out[f"example/{example}"] = {
-            "lint": _findings(lint.findings),
-            "lint_notes": list(lint.notes),
-            "verify": _findings(verify.findings) + [
-                [p.label, p.verdict_name, p.skipped_reason,
-                 _findings(p.findings)]
-                for p in verify.programs
-            ],
+                yield f"instantiate/{label}/{summary.name}/p={p}", seqs
+    for example in examples:
+        yield f"example/{example}", {
+            **harness.example_findings(example),
             "classify": [
                 [c.name, c.fragment.value, c.reason, c.reason_line,
                  c.role_splits, c.loops, c.rendering]
-                for c in labels
+                for c in classify_source(sources[example][0], example)
             ],
         }
-    with open(path, "w") as fh:
-        json.dump(out, fh, sort_keys=True, default=str)
-    print(f"{len(out)} entries -> {path}")
-    return 0
-
-
-def compare(left_path, right_path):
-    with open(left_path) as fh:
-        left = json.load(fh)
-    with open(right_path) as fh:
-        right = json.load(fh)
-    diffs = []
-
-    def walk(a, b, where):
-        if isinstance(a, dict) and isinstance(b, dict):
-            for key in sorted(set(a) | set(b)):
-                walk(a.get(key), b.get(key), where + [key])
-        elif (
-            isinstance(a, list) and isinstance(b, list) and len(a) == len(b)
-        ):
-            for index, (x, y) in enumerate(zip(a, b)):
-                walk(x, y, where + [index])
-        elif a != b:
-            diffs.append((where, a, b))
-
-    walk(left, right, [])
-    print(f"{len(left)} entries compared; {len(diffs)} differences")
-    for where, a, b in diffs:
-        print("/".join(map(str, where)))
-        print("   left: ", json.dumps(a)[:240])
-        print("   right:", json.dumps(b)[:240])
-    return 1 if diffs else 0
-
-
-def main(argv):
-    if len(argv) == 2 and argv[0] == "dump":
-        return dump(argv[1])
-    if len(argv) == 3 and argv[0] == "compare":
-        return compare(argv[1], argv[2])
-    print(__doc__, file=sys.stderr)
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -8,7 +8,10 @@ first-layer :class:`~repro.core.distributed.FirstLayerNode`s across
 ``multiprocessing`` workers (one shard = one or more nodes, cut along
 :mod:`repro.backend.plan`'s placement-aligned contiguous groups) while
 the root and interior nodes — WFG construction, collective matching,
-report generation — stay centralized in the coordinator process.
+report generation — stay centralized in the coordinator process: the
+same :class:`~repro.core.detector.ToolTree` the inline tool is, with
+proxies attached where its first layer would be, driven by the round
+loop below and read off from the workers' finish payloads.
 
 Execution is a bulk-synchronous round loop:
 
@@ -54,14 +57,19 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.backend.base import DEFAULT_SHARDS, AnalysisBackend
 from repro.backend.plan import describe_plan, plan_shards, shard_of_node
-from repro.core.detector import DistributedOutcome
+from repro.core.detector import (
+    DistributedOutcome,
+    NodeReading,
+    ToolTree,
+    build_first_layer,
+    read_first_layer,
+)
 from repro.core.distributed import FirstLayerNode
 from repro.core.messages import NewOpMsg, RankDoneMsg
-from repro.core.treenodes import InteriorNode, RootNode
 from repro.mpi.serialize import (
     decode_message,
     encode_message,
@@ -89,9 +97,9 @@ from repro.obs.prof import (
     spans_from_records,
 )
 from repro.perf.placement import Placement
-from repro.tbon.network import LatencyModel, Network, jittered_latency
+from repro.tbon.network import LatencyModel, count_sent
 from repro.tbon.topology import TbonTopology
-from repro.util.errors import ProtocolError
+from repro.util.errors import ProtocolError, ReproError
 
 #: Outbox size at which a worker flushes mid-round.
 DEFAULT_FLUSH_LIMIT = 64
@@ -137,8 +145,7 @@ class _ShardSpec:
     shard_id: int
     node_ids: Tuple[int, ...]
     matched: MatchedTrace
-    num_ranks: int
-    fan_in: int
+    topology: TbonTopology
     window_limit: int
     flush_limit: int
     #: Observer settings the worker honors (session ``--obs`` plumbed
@@ -190,6 +197,8 @@ class ShardNetwork:
     def send(self, src: int, dst: int, msg: object, size: int = 64) -> None:
         self.messages_sent += 1
         self.bytes_sent += size
+        if self.obs.enabled:
+            count_sent(self.obs.metrics, msg, size)
         if dst in self._local:
             self._queue.append((src, dst, msg))
             if len(self._queue) > self.peak_queue:
@@ -230,9 +239,7 @@ class ShardNetwork:
             self._local[dst].handle(msg, self, src)
 
 
-def _inject_app_events(
-    spec: _ShardSpec, topology: TbonTopology, net: ShardNetwork
-) -> None:
+def _inject_app_events(spec: _ShardSpec, net: ShardNetwork) -> None:
     """Stream the hosted ranks' traces into the shard's nodes.
 
     Rank-major order differs from the inline backend's seeded
@@ -243,7 +250,7 @@ def _inject_app_events(
     """
     trace = spec.matched.trace
     for node_id in spec.node_ids:
-        for rank in topology.ranks_of_host(node_id):
+        for rank in spec.topology.ranks_of_host(node_id):
             for op in trace.sequence(rank):
                 net.send(rank, node_id, NewOpMsg(op), NewOpMsg.wire_size)
             net.send(rank, node_id, RankDoneMsg(rank), RankDoneMsg.wire_size)
@@ -283,7 +290,6 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
     final state payload; ``("stop",)`` — exit.
     """
     try:
-        topology = TbonTopology.build(spec.num_ranks, spec.fan_in)
         observer = make_worker_observer(spec.obs)
         # run_id == 0 means the coordinator did not start a distributed
         # trace (observability off, or distributed_tracing disabled):
@@ -298,7 +304,13 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
             if spec.flight_capacity > 0
             else NULL_FLIGHT_RECORDER
         )
-        local: Dict[int, FirstLayerNode] = {}
+        local = build_first_layer(
+            spec.topology,
+            spec.matched.comms,
+            spec.node_ids,
+            window_limit=spec.window_limit,
+            flight=flight,
+        )
         net = ShardNetwork(
             local,
             emit=lambda batch: res_q.put(("msgs", spec.shard_id, batch)),
@@ -307,28 +319,18 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
             prof=prof,
             run_id=spec.obs.run_id,
         )
-        for node_id in spec.node_ids:
-            local[node_id] = FirstLayerNode(
-                node_id,
-                topology,
-                spec.matched.comms,
-                window_limit=spec.window_limit,
-                flight=flight,
-            )
-        busy = 0.0
-        started = False
+        # CPU time, not wall: concurrent shards time-slicing a core must
+        # not count each other's work as their own.
+        t0 = time.process_time()
+        _inject_app_events(spec, net)
+        busy = time.process_time() - t0
         round_no = 0
         while True:
             cmd = cmd_q.get()
             kind = cmd[0]
             if kind == "run":
-                # CPU time, not wall: concurrent shards time-slicing a
-                # core must not count each other's work as their own.
                 t0 = time.process_time()
                 if prof is None:
-                    if not started:
-                        started = True
-                        _inject_app_events(spec, topology, net)
                     for src, dst, wire, _size in cmd[1]:
                         net.deliver(src, dst, decode_message(wire))
                     net.pump()
@@ -350,9 +352,6 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
                         prof.note_in(ctx, size)
                     prof.end_section()
                     prof.begin_section("step")
-                    if not started:
-                        started = True
-                        _inject_app_events(spec, topology, net)
                     net.pump()
                     prof.end_section()
                     prof.begin_section("flush")
@@ -367,6 +366,7 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
                 res_q.put(("flight", spec.shard_id, flight.snapshot(cmd[1])))
             elif kind == "finish":
                 if prof is not None:
+                    # Drains the tracer: no event outlives this frame.
                     _flush_obs(spec, observer, prof, res_q)
                 res_q.put(
                     ("finish", spec.shard_id, _finish_payload(
@@ -377,8 +377,14 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
                 return
             else:
                 raise ProtocolError(f"unknown shard command {kind!r}")
-    except Exception:  # pragma: no cover - crash path
-        res_q.put(("error", spec.shard_id, traceback.format_exc()))
+    except Exception as exc:
+        # A tool error travels as itself; anything else may not pickle.
+        res_q.put((
+            "error",
+            spec.shard_id,
+            exc if isinstance(exc, ReproError) else None,
+            traceback.format_exc(),
+        ))
 
 
 def _finish_payload(
@@ -388,43 +394,21 @@ def _finish_payload(
     observer: Observer,
     busy: float,
 ) -> Dict[str, Any]:
-    state: Dict[int, int] = {}
-    peak = 0
-    node_stats: Dict[int, Dict[str, int]] = {}
-    for node in local.values():
-        state.update(node.state_vector())
-        peak = max(peak, node.peak_window_size())
-        node_stats[node.node_id] = dict(node.stats)
     if observer.enabled:
         sid = spec.shard_id
         metrics = observer.metrics
         metrics.set_gauge(f"backend.shard{sid}.queue_depth", net.peak_queue)
-        metrics.set_gauge(
-            f"backend.shard{sid}.pending_receives",
-            sum(n.matcher.stats()["pending_receives"] for n in local.values()),
-        )
-        metrics.set_gauge(
-            f"backend.shard{sid}.stored_sends",
-            sum(n.matcher.stats()["stored_sends"] for n in local.values()),
-        )
+        residues = [node.matcher.stats() for node in local.values()]
+        for name in ("pending_receives", "stored_sends"):
+            metrics.set_gauge(
+                f"backend.shard{sid}.{name}", sum(r[name] for r in residues)
+            )
         metrics.inc(f"backend.shard{sid}.outbox_flushes", net.flushes)
     return {
-        "state": state,
-        "peak": peak,
-        "node_stats": node_stats,
-        "messages_sent": net.messages_sent,
-        "bytes_sent": net.bytes_sent,
+        "first_layer": read_first_layer(local.values()),
+        "sent": (net.messages_sent, net.bytes_sent),
         "busy_seconds": busy,
         "metrics": observer.metrics.dump_state() if observer.enabled else None,
-        # Residual events recorded after the last round's stream frame
-        # (normally empty — rounds drain the tracer); they ride the
-        # merger so clock rebasing applies to them too.
-        "events": (
-            events_to_wire(observer.tracer.drain())
-            if observer.enabled
-            else None
-        ),
-        "dropped": observer.tracer.dropped if observer.enabled else 0,
     }
 
 
@@ -454,12 +438,10 @@ class _ShardProxy:
         self._pending = pending
         self._context = context
 
-    def handle(self, msg: object, net, src: int) -> None:
+    def handle(self, msg: Any, net, src: int) -> None:
         ctx = self._context() if self._context is not None else None
         wire = encode_message(msg, ctx)
-        self._pending.append(
-            (src, self.node_id, wire, getattr(msg, "wire_size", 64))
-        )
+        self._pending.append((src, self.node_id, wire, msg.wire_size))
 
 
 class _FlightGather:
@@ -481,27 +463,32 @@ class _FlightGather:
         return self._run.gather_flight(ranks)
 
 
-class _ShardedRun:
-    """One sharded analysis: workers, round loop, outcome assembly."""
+class _ShardedRun(ToolTree):
+    """One sharded analysis: the tool tree with its first layer behind
+    proxies, plus what sharding adds — plan, workers, the round loop,
+    the observability merge and the timing."""
 
     def __init__(
         self,
         backend: "ShardedBackend",
         matched: MatchedTrace,
         *,
-        fan_in: int,
-        seed: int,
         window_limit: int,
-        generate_outputs: bool,
-        observer: Observer,
         flight: FlightRecorder,
-        latency_model: Optional[LatencyModel],
         detect_at_end: bool,
-        live: Optional[LiveMonitor] = None,
+        live: Optional[LiveMonitor],
+        **tree: Any,
     ) -> None:
+        # ``tree``: what ToolTree takes, bar the root's flight handle.
+        super().__init__(
+            matched,
+            flight=(
+                _FlightGather(self) if flight.enabled
+                else NULL_FLIGHT_RECORDER
+            ),
+            **tree,
+        )
         self.backend = backend
-        self.matched = matched
-        self.observer = observer
         self.flight = flight
         self.live = live
         #: Cumulative per-shard busy seconds folded from streamed
@@ -509,34 +496,12 @@ class _ShardedRun:
         #: distributed tracer is off — skew then reports None).
         self._live_busy: Dict[int, float] = {}
         self.detect_at_end = detect_at_end
-        self.fan_in = fan_in
         self.window_limit = window_limit
-        p = matched.trace.num_processes
-        self.topology = TbonTopology.build(p, fan_in)
         self.plan = plan_shards(
             self.topology, backend.shards, backend.placement
         )
         self.shard_of = shard_of_node(self.plan)
         self.num_shards = len(self.plan)
-        self.net = Network(
-            latency_model or jittered_latency(seed), observer=observer
-        )
-        flight_proxy = (
-            _FlightGather(self) if flight.enabled else NULL_FLIGHT_RECORDER
-        )
-        self.root = RootNode(
-            self.topology.root,
-            self.topology,
-            matched.comms,
-            generate_outputs=generate_outputs,
-            flight=flight_proxy,
-        )
-        self.net.attach(self.root)
-        for layer in self.topology.layers[2:-1]:
-            for node_id in layer:
-                self.net.attach(
-                    InteriorNode(node_id, self.topology, matched.comms)
-                )
         #: Per-shard batches awaiting the next round. The lists are
         #: shared with the proxies and must stay identity-stable.
         self.pending: List[List[_WireEntry]] = [
@@ -545,32 +510,24 @@ class _ShardedRun:
         # Distributed-tracing state: coordinator-origin messages carry
         # a trace context (shard COORDINATOR_SHARD, the round they will
         # ship in) and worker event frames fold through the merger.
-        if observer.enabled and backend.distributed_tracing:
-            self.run_id = next_run_id()
-            self.merger: Optional[TraceMerger] = TraceMerger()
-            self.round_rows: Dict[int, List[list]] = {}
-            self.coord_rounds: List[Dict[str, Any]] = []
-            context = lambda: (  # noqa: E731 - tiny closure over self
-                self.run_id, COORDINATOR_SHARD, self.rounds + 1, 0
-            )
-        else:
-            self.run_id = 0
-            self.merger = None
-            self.round_rows = {}
-            self.coord_rounds = []
-            context = None
+        tracing = self.observer.enabled and backend.distributed_tracing
+        self.run_id = next_run_id() if tracing else 0
+        self.merger = TraceMerger() if tracing else None
+        self.round_rows: Dict[int, List[list]] = {}
+        self.coord_rounds: List[Dict[str, Any]] = []
         self._round_route_s = 0.0
-        for node_id in self.topology.first_layer:
-            self.net.attach(
-                _ShardProxy(
-                    node_id, self.pending[self.shard_of[node_id]], context
-                )
-            )
+        context = (
+            (lambda: (self.run_id, COORDINATOR_SHARD, self.rounds + 1, 0))
+            if tracing
+            else None
+        )
+        self.host_first_layer(
+            _ShardProxy(node_id, self.pending[self.shard_of[node_id]], context)
+            for node_id in self.topology.first_layer
+        )
         self.relayed = 0
-        self.relayed_bytes = 0
         self.cross_shard = 0
         self.rounds = 0
-        self.blocked_seconds = 0.0
         self._cmd_qs: List[Any] = []
         self._res_q: Any = None
         self._procs: List[Any] = []
@@ -585,8 +542,7 @@ class _ShardedRun:
                 shard_id=sid,
                 node_ids=node_ids,
                 matched=self.matched,
-                num_ranks=self.topology.num_ranks,
-                fan_in=self.fan_in,
+                topology=self.topology,
                 window_limit=self.window_limit,
                 flush_limit=self.backend.flush_limit,
                 obs=WorkerObsSpec.from_observer(self.observer, self.run_id),
@@ -616,18 +572,36 @@ class _ShardedRun:
                 proc.terminate()
                 proc.join(timeout=10)
 
-    def _reply(self) -> tuple:
-        """Next worker reply; queue-blocked time is tracked separately
-        so the coordinator's own busy time can be reported."""
-        t0 = time.perf_counter()
-        try:
-            reply = self._res_q.get(timeout=_QUEUE_TIMEOUT)
-        except queue_mod.Empty:  # pragma: no cover - dead worker
-            raise ProtocolError("shard worker unresponsive") from None
-        self.blocked_seconds += time.perf_counter() - t0
-        if reply[0] == "error":
-            raise ProtocolError(f"shard {reply[1]} failed:\n{reply[2]}")
-        return reply
+    def _replies(self, kind: str, count: int) -> Iterator[tuple]:
+        """The next ``count`` worker replies of ``kind``.
+
+        Message batches and obs frames that arrive in between are
+        routed and absorbed; a worker's error reply is raised here —
+        a tool error as itself, anything else as a ``ProtocolError``
+        carrying the worker's traceback.
+        """
+        while count:
+            try:
+                reply = self._res_q.get(timeout=_QUEUE_TIMEOUT)
+            except queue_mod.Empty:  # pragma: no cover - dead worker
+                raise ProtocolError("shard worker unresponsive") from None
+            if reply[0] == kind:
+                count -= 1
+                yield reply
+            elif reply[0] == "msgs":
+                self._route(reply[2])
+            elif reply[0] == "obs":
+                self._absorb_obs(reply[1], reply[2])
+            elif reply[0] == "error":
+                _, sid, error, worker_traceback = reply
+                failed = ProtocolError(
+                    f"shard {sid} failed:\n{worker_traceback}"
+                )
+                if error is None:
+                    raise failed
+                raise error from failed
+            else:
+                raise ProtocolError(f"unexpected shard reply {reply[0]!r}")
 
     # -- the BSP round loop ----------------------------------------------
 
@@ -649,17 +623,8 @@ class _ShardedRun:
                 # the residual.
                 merger.note_round_sent(sid, self.rounds, span_start)
             cmd_q.put(("run", batch))
-        done = 0
-        while done < self.num_shards:
-            reply = self._reply()
-            if reply[0] == "msgs":
-                self._route(reply[2])
-            elif reply[0] == "obs":
-                self._absorb_obs(reply[1], reply[2])
-            elif reply[0] == "done":
-                done += 1
-            else:
-                raise ProtocolError(f"unexpected shard reply {reply[0]!r}")
+        for _done in self._replies("done", self.num_shards):
+            pass
         if merger is not None:
             end = self.observer.tracer.now_us()
             self.observer.tracer.complete(
@@ -726,9 +691,9 @@ class _ShardedRun:
         """Route one worker batch, preserving its (send) order.
 
         First-layer destinations go to the owning shard's pending
-        batch; tree destinations are decoded and re-sent on the
-        coordinator network (those re-sends are subtracted from the
-        totals — the worker already counted them).
+        batch; tree destinations are decoded and continue on the
+        coordinator network (``deliver``, not ``send``: the worker's
+        transport already counted them).
         """
         obs_on = self.merger is not None
         t0 = time.perf_counter() if obs_on else 0.0
@@ -741,9 +706,8 @@ class _ShardedRun:
                 self.pending[self.shard_of[dst]].append(entry)
                 self.cross_shard += 1
             else:
-                self.net.send(src, dst, decode_message(wire), size)
+                self.net.deliver(src, dst, decode_message(wire), size)
                 self.relayed += 1
-                self.relayed_bytes += size
         if obs_on:
             self._round_route_s += time.perf_counter() - t0
 
@@ -764,11 +728,8 @@ class _ShardedRun:
         for sid, shard_ranks in by_shard.items():
             self._cmd_qs[sid].put(("flight", tuple(shard_ranks)))
         tails: Dict[int, List[dict]] = {}
-        for _ in range(len(by_shard)):
-            reply = self._reply()
-            if reply[0] != "flight":  # pragma: no cover - protocol bug
-                raise ProtocolError(f"unexpected shard reply {reply[0]!r}")
-            tails.update(reply[2])
+        for _kind, _sid, shard_tails in self._replies("flight", len(by_shard)):
+            tails.update(shard_tails)
         return {rank: tails.get(rank, []) for rank in ranks}
 
     # -- driving ---------------------------------------------------------
@@ -779,19 +740,9 @@ class _ShardedRun:
         self._start_workers()
         try:
             # Kick-off round: batches are empty, but the first "run"
-            # makes every worker inject and pump its ranks' traces.
+            # makes every worker pump the traces it injected at start.
             self._exchange_round()
-            self._settle()
-            if self.detect_at_end:
-                self.root.start_detection(self.net)
-                self._settle()
-            if not self.net.idle() or any(self.pending):
-                raise ProtocolError("sharded analysis did not quiesce")
-            for record in self.root.completed_detections:
-                if not record.complete:
-                    raise ProtocolError(
-                        f"detection {record.detection_id} incomplete"
-                    )
+            self.drive(self._settle, detect_at_end=self.detect_at_end)
             payloads = self._collect_payloads()
         finally:
             self._stop_workers()
@@ -800,57 +751,32 @@ class _ShardedRun:
     def _collect_payloads(self) -> Dict[int, Dict[str, Any]]:
         for cmd_q in self._cmd_qs:
             cmd_q.put(("finish",))
-        payloads: Dict[int, Dict[str, Any]] = {}
-        while len(payloads) < self.num_shards:
-            reply = self._reply()
-            if reply[0] == "obs":
-                # The worker's final stream-frame flush precedes its
-                # finish payload.
-                self._absorb_obs(reply[1], reply[2])
-                continue
-            if reply[0] != "finish":  # pragma: no cover - protocol bug
-                raise ProtocolError(f"unexpected shard reply {reply[0]!r}")
-            payloads[reply[1]] = reply[2]
-        return payloads
+        # Each worker's final obs frame precedes its finish payload.
+        return {
+            sid: payload
+            for _kind, sid, payload in self._replies("finish", self.num_shards)
+        }
 
     def _assemble(
         self, payloads: Dict[int, Dict[str, Any]], wall0: float
     ) -> DistributedOutcome:
-        state = [0] * self.topology.num_ranks
-        peak = 0
-        node_stats: Dict[int, Dict[str, int]] = {}
+        first_layer: Dict[int, NodeReading] = {}
         worker_msgs = 0
         worker_bytes = 0
         shard_busy: List[float] = []
         for sid in range(self.num_shards):
             payload = payloads[sid]
-            for rank, level in payload["state"].items():
-                state[rank] = level
-            peak = max(peak, payload["peak"])
-            node_stats.update(payload["node_stats"])
-            worker_msgs += payload["messages_sent"]
-            worker_bytes += payload["bytes_sent"]
+            first_layer.update(payload["first_layer"])
+            worker_msgs += payload["sent"][0]
+            worker_bytes += payload["sent"][1]
             shard_busy.append(payload["busy_seconds"])
             if self.observer.enabled and payload["metrics"]:
                 self.observer.metrics.merge_state(payload["metrics"])
-            if self.merger is not None:
-                # Residual events and the final drop count ride the
-                # merger so they get the same clock rebasing as the
-                # streamed frames.
-                if payload["events"] is not None or payload.get("dropped"):
-                    self.merger.add_frame(
-                        sid,
-                        {
-                            "events": payload["events"],
-                            "dropped": payload.get("dropped", 0),
-                        },
-                    )
-        node_stats[self.root.node_id] = dict(self.root.stats)
+        outcome = self.read_off(first_layer, (worker_msgs, worker_bytes))
         wall = time.perf_counter() - wall0
         # CPU time for the same reason as in the workers: on a machine
-        # with fewer free cores than shards the coordinator's wall
-        # minus queue-blocked time still absorbs time-sliced worker
-        # work, while its own CPU seconds do not.
+        # with fewer free cores than shards the coordinator's wall clock
+        # absorbs time-sliced worker work, its own CPU seconds do not.
         coordinator_busy = time.process_time() - self._cpu0
         self.backend.last_timing = {
             "shards": self.num_shards,
@@ -873,7 +799,6 @@ class _ShardedRun:
             metrics.set_gauge("backend.rounds", self.rounds)
             metrics.inc("backend.cross_shard_msgs", self.cross_shard)
             metrics.inc("backend.relayed_msgs", self.relayed)
-            metrics.set_gauge("tbon.peak_window", peak)
             for sid, busy in enumerate(shard_busy):
                 metrics.set_gauge(f"backend.shard{sid}.busy_seconds", busy)
         if self.merger is not None:
@@ -896,7 +821,7 @@ class _ShardedRun:
                 plan=describe_plan(self.topology, self.plan),
                 timing=self.backend.last_timing,
                 ranks=self.topology.num_ranks,
-                fan_in=self.fan_in,
+                fan_in=self.topology.fan_in,
                 dropped=self.merger.dropped,
                 events=self.merger.event_counts(),
                 observer=self.observer,
@@ -912,16 +837,7 @@ class _ShardedRun:
             # settled (empty) pending depths reach the feed even when
             # the run ends between cadence ticks.
             self.live.tick_backend(self._live_sample())
-        return DistributedOutcome(
-            topology=self.topology,
-            stable_state=tuple(state),
-            detections=list(self.root.completed_detections),
-            messages_sent=worker_msgs + self.net.messages_sent - self.relayed,
-            bytes_sent=worker_bytes + self.net.bytes_sent - self.relayed_bytes,
-            simulated_seconds=self.net.now,
-            peak_window=peak,
-            node_stats=node_stats,
-        )
+        return outcome
 
 
 class ShardedBackend(AnalysisBackend):

@@ -1,15 +1,22 @@
 """The tool facade: distributed MPI deadlock detection end to end.
 
-:class:`DistributedDeadlockDetector` assembles the full Figure 1(b)
-architecture over a matched trace: a TBON of the requested fan-in,
-first-layer nodes running distributed p2p matching + wait state
-tracking, interior aggregation nodes, and the root with tree-wide
-collective matching and graph-based detection. Application ranks
-stream their intercepted operations into the tree on a simulated
-clock; detections fire after quiescence (the paper's timeout) and/or
-at requested simulated times (mid-run detections).
+:class:`ToolTree` is the one assembly of the Figure 1(b) architecture
+over a matched trace — a TBON of the requested fan-in, the root with
+tree-wide collective matching and graph-based detection, interior
+aggregation nodes, and a first layer that is handed in by whoever hosts
+it — and the one way to drive it ("settle, timeout detection, settle,
+check") and to read it off (per-node end state into a
+:class:`DistributedOutcome`, the ``tbon.*`` figures into the observer).
 
-The result exposes the stable distributed state, every detection
+:class:`DistributedDeadlockDetector` is the inline tool: it hosts every
+first-layer node (distributed p2p matching + wait state tracking) on
+the tree's own simulated network and streams the application ranks'
+intercepted operations into it on a simulated clock; detections fire
+after quiescence (the paper's timeout) and/or at requested simulated
+times (mid-run detections). The sharded backend hosts the same nodes in
+worker processes and drives the same tree through its round loop.
+
+The outcome exposes the stable distributed state, every detection
 record (graph, verdict, phase breakdown, DOT/HTML), message statistics
 and peak trace-window sizes — everything the evaluation section
 reports.
@@ -18,18 +25,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple,
+)
 
 from repro.core.distributed import FirstLayerNode
 from repro.core.messages import NewOpMsg, RankDoneMsg
 from repro.core.treenodes import DetectionRecord, InteriorNode, RootNode
+from repro.mpi.communicator import CommRegistry
 from repro.mpi.ops import Operation
 from repro.mpi.trace import MatchedTrace
 from repro.obs.flight import FlightRecorder
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.tbon.network import LatencyModel, Network, jittered_latency
+from repro.tbon.network import LatencyModel, Network, Node, jittered_latency
 from repro.tbon.topology import TbonTopology
 from repro.util.errors import ProtocolError
+
+#: What one first-layer node reports when the run is over: the stable
+#: timestamps of its hosted ranks, its peak trace window, and the
+#: messages it handled by type. Plain data, so it reads the same off a
+#: node in this process and out of a shard worker's finish payload.
+NodeReading = Tuple[Dict[int, int], int, Dict[str, int]]
 
 
 @dataclass
@@ -114,20 +130,162 @@ class _Injector:
         k = self._next
         self._next = k + 1
         ops = self._ops
+        msg: NewOpMsg | RankDoneMsg
         if k < len(ops):
             self.arm()
-            self._net.send(
-                self._rank, self._host, NewOpMsg(ops[k]), NewOpMsg.wire_size
-            )
+            msg = NewOpMsg(ops[k])
         else:
-            self._net.send(
-                self._rank, self._host, RankDoneMsg(self._rank),
-                RankDoneMsg.wire_size,
-            )
+            msg = RankDoneMsg(self._rank)
+        self._net.send(self._rank, self._host, msg, msg.wire_size)
 
 
-class DistributedDeadlockDetector:
-    """Drive the distributed tool over a matched trace."""
+def build_first_layer(
+    topology: TbonTopology,
+    comms: CommRegistry,
+    node_ids: Iterable[int],
+    *,
+    window_limit: int,
+    flight: FlightRecorder,
+) -> Dict[int, FirstLayerNode]:
+    """The first-layer nodes ``node_ids``: all of them for the inline
+    tool, one shard's slice inside a worker."""
+    return {
+        node_id: FirstLayerNode(
+            node_id, topology, comms, window_limit=window_limit, flight=flight
+        )
+        for node_id in node_ids
+    }
+
+
+def read_first_layer(
+    nodes: Iterable[FirstLayerNode],
+) -> Dict[int, NodeReading]:
+    """The end state of ``nodes``, as :meth:`ToolTree.read_off` takes it."""
+    return {
+        node.node_id: (
+            node.state_vector(), node.peak_window_size(), dict(node.stats)
+        )
+        for node in nodes
+    }
+
+
+class ToolTree:
+    """Topology, network, root and interior nodes of one tool run.
+
+    The first layer is attached by :meth:`host_first_layer` — real
+    :class:`FirstLayerNode`s when this process hosts them, stand-ins
+    that forward to wherever they live otherwise — so the root's
+    broadcasts and the interiors' relays need no special casing.
+    """
+
+    def __init__(
+        self,
+        matched: MatchedTrace,
+        *,
+        fan_in: int,
+        seed: int,
+        latency_model: LatencyModel | None,
+        generate_outputs: bool,
+        observer: Observer,
+        flight: FlightRecorder,
+    ) -> None:
+        self.matched = matched
+        self.observer = observer
+        self.topology = TbonTopology.build(
+            matched.trace.num_processes, fan_in
+        )
+        self.net = Network(
+            latency_model or jittered_latency(seed), observer=observer
+        )
+        self.root = RootNode(
+            self.topology.root,
+            self.topology,
+            matched.comms,
+            generate_outputs=generate_outputs,
+            flight=flight,
+        )
+        self.net.attach(self.root)
+        self.interior = [
+            InteriorNode(node_id, self.topology, matched.comms)
+            for layer in self.topology.layers[2:-1]
+            for node_id in layer
+        ]
+        for node in self.interior:
+            self.net.attach(node)
+
+    def host_first_layer(self, nodes: Iterable[Node]) -> None:
+        for node in nodes:
+            self.net.attach(node)
+
+    def drive(
+        self, settle: Callable[[], object], *, detect_at_end: bool
+    ) -> None:
+        """Settle, run the end-of-run timeout detection, settle again.
+
+        ``settle`` runs the tool until no message remains anywhere:
+        ``net.run`` when every node is on this network, the round loop
+        when the first layer is elsewhere.
+        """
+        settle()
+        if detect_at_end:
+            self.root.start_detection(self.net)
+            settle()
+        if not self.net.idle():
+            raise ProtocolError("network did not quiesce")
+        for record in self.root.completed_detections:
+            if not record.complete:
+                raise ProtocolError(
+                    f"detection {record.detection_id} incomplete"
+                )
+
+    def read_off(
+        self,
+        first_layer: Mapping[int, NodeReading],
+        sent_elsewhere: Tuple[int, int] = (0, 0),
+    ) -> DistributedOutcome:
+        """The outcome of a driven run, and its ``tbon.*`` figures.
+
+        ``first_layer`` is :func:`read_first_layer` of every node, in
+        tree order; ``sent_elsewhere`` the (messages, bytes) totals of
+        the transports other than ``self.net`` that carried the run.
+        """
+        state = [0] * self.topology.num_ranks
+        peak = 0
+        node_stats: Dict[int, Dict[str, int]] = {}
+        for node_id, (levels, node_peak, stats) in first_layer.items():
+            for rank, level in levels.items():
+                state[rank] = level
+            peak = max(peak, node_peak)
+            node_stats[node_id] = stats
+        node_stats[self.root.node_id] = dict(self.root.stats)
+        messages = self.net.messages_sent + sent_elsewhere[0]
+        nbytes = self.net.bytes_sent + sent_elsewhere[1]
+        if self.observer.enabled:
+            metrics = self.observer.metrics
+            # A delivery is counted by the node that handles it.
+            for stats in (
+                *node_stats.values(), *(n.stats for n in self.interior)
+            ):
+                for mtype, handled in stats.items():
+                    metrics.inc(f"tbon.recv.{mtype}", handled)
+            metrics.set_gauge("tbon.peak_window", peak)
+            metrics.set_gauge("tbon.simulated_seconds", self.net.now)
+            metrics.set_gauge("tbon.messages_total", messages)
+            metrics.set_gauge("tbon.bytes_total", nbytes)
+        return DistributedOutcome(
+            topology=self.topology,
+            stable_state=tuple(state),
+            detections=list(self.root.completed_detections),
+            messages_sent=messages,
+            bytes_sent=nbytes,
+            simulated_seconds=self.net.now,
+            peak_window=peak,
+            node_stats=node_stats,
+        )
+
+
+class DistributedDeadlockDetector(ToolTree):
+    """Drive the distributed tool over a matched trace, in process."""
 
     def __init__(
         self,
@@ -142,43 +300,29 @@ class DistributedDeadlockDetector:
         observer: Observer | None = None,
         flight: FlightRecorder | None = None,
     ) -> None:
-        self.matched = matched
-        self.trace = matched.trace
-        self.observer = observer if observer is not None else NULL_OBSERVER
         # The flight recorder is ON by default (bounded ring, O(1)
         # appends); pass a NullFlightRecorder to opt out.
         self.flight = flight if flight is not None else FlightRecorder()
-        p = self.trace.num_processes
-        self.topology = TbonTopology.build(p, fan_in)
-        self.net = Network(
-            latency_model or jittered_latency(seed), observer=self.observer
-        )
-        self._rng = random.Random(seed)
-        self._op_gap = op_gap
-        self.first_layer: Dict[int, FirstLayerNode] = {}
-        for node_id in self.topology.first_layer:
-            node = FirstLayerNode(
-                node_id,
-                self.topology,
-                matched.comms,
-                window_limit=window_limit,
-                flight=self.flight,
-            )
-            self.first_layer[node_id] = node
-            self.net.attach(node)
-        self.root = RootNode(
-            self.topology.root,
-            self.topology,
-            matched.comms,
+        super().__init__(
+            matched,
+            fan_in=fan_in,
+            seed=seed,
+            latency_model=latency_model,
             generate_outputs=generate_outputs,
+            observer=observer if observer is not None else NULL_OBSERVER,
             flight=self.flight,
         )
-        self.net.attach(self.root)
-        for layer in self.topology.layers[2:-1]:
-            for node_id in layer:
-                self.net.attach(
-                    InteriorNode(node_id, self.topology, matched.comms)
-                )
+        self.trace = matched.trace
+        self._rng = random.Random(seed)
+        self._op_gap = op_gap
+        self.first_layer = build_first_layer(
+            self.topology,
+            matched.comms,
+            self.topology.first_layer,
+            window_limit=window_limit,
+            flight=self.flight,
+        )
+        self.host_first_layer(self.first_layer.values())
 
     # ------------------------------------------------------------------
 
@@ -215,62 +359,13 @@ class DistributedDeadlockDetector:
         self._schedule_events()
         for t in detect_at:
             self.net.call_at(t, lambda: self.root.start_detection(self.net))
-        self.net.run()
-        if detect_at_end:
-            self.root.start_detection(self.net)
-            self.net.run()
-        if not self.net.idle():
-            raise ProtocolError("network did not quiesce")
-        for record in self.root.completed_detections:
-            if not record.complete:
-                raise ProtocolError(
-                    f"detection {record.detection_id} incomplete"
-                )
-        state = [0] * self.trace.num_processes
-        peak = 0
-        node_stats: Dict[int, Dict[str, int]] = {}
-        for node in self.first_layer.values():
-            for rank, l in node.state_vector().items():
-                state[rank] = l
-            peak = max(peak, node.peak_window_size())
-            node_stats[node.node_id] = dict(node.stats)
-        node_stats[self.root.node_id] = dict(self.root.stats)
-        if self.observer.enabled:
-            metrics = self.observer.metrics
-            metrics.set_gauge("tbon.peak_window", peak)
-            metrics.set_gauge("tbon.simulated_seconds", self.net.now)
-            metrics.set_gauge("tbon.messages_total", self.net.messages_sent)
-            metrics.set_gauge("tbon.bytes_total", self.net.bytes_sent)
-        return DistributedOutcome(
-            topology=self.topology,
-            stable_state=tuple(state),
-            detections=list(self.root.completed_detections),
-            messages_sent=self.net.messages_sent,
-            bytes_sent=self.net.bytes_sent,
-            simulated_seconds=self.net.now,
-            peak_window=peak,
-            node_stats=node_stats,
-        )
+        self.drive(self.net.run, detect_at_end=detect_at_end)
+        return self.read_off(read_first_layer(self.first_layer.values()))
 
 
 def detect_deadlocks_distributed(
-    matched: MatchedTrace,
-    *,
-    fan_in: int = 4,
-    seed: int = 0,
-    generate_outputs: bool = True,
-    window_limit: int = 1_000_000,
-    observer: Observer | None = None,
-    flight: FlightRecorder | None = None,
+    matched: MatchedTrace, **options: Any
 ) -> DistributedOutcome:
-    """One-call convenience wrapper: stream, settle, detect once."""
-    detector = DistributedDeadlockDetector(
-        matched,
-        fan_in=fan_in,
-        seed=seed,
-        generate_outputs=generate_outputs,
-        window_limit=window_limit,
-        observer=observer,
-        flight=flight,
-    )
-    return detector.run()
+    """One-call convenience wrapper: stream, settle, detect once.
+    ``options`` are :class:`DistributedDeadlockDetector`'s."""
+    return DistributedDeadlockDetector(matched, **options).run()

@@ -120,7 +120,7 @@ class InteriorNode:
             msg, (CollectiveAck, RequestConsistentState, RequestWaits)
         ):
             for child in self.topology.children(self.node_id):
-                net.send(self.node_id, child, msg, getattr(msg, "wire_size", 32))
+                net.send(self.node_id, child, msg, msg.wire_size)
         else:
             raise ProtocolError(
                 f"interior node {self.node_id} cannot handle "
@@ -259,9 +259,13 @@ class RootNode:
                 f"root cannot handle {type(msg).__name__}"
             )
 
-    def _broadcast(self, net: Transport, msg: object) -> None:
+    def _broadcast(
+        self,
+        net: Transport,
+        msg: CollectiveAck | RequestConsistentState | RequestWaits,
+    ) -> None:
         for child in self.topology.children(self.node_id):
-            net.send(self.node_id, child, msg, getattr(msg, "wire_size", 32))
+            net.send(self.node_id, child, msg, msg.wire_size)
 
     # -- detection protocol ---------------------------------------------------
 

@@ -23,12 +23,6 @@ from repro.mpi.ops import Operation, OpRef
 
 
 @dataclass
-class _StoredSend:
-    info: PassSend
-    consumed: bool = False
-
-
-@dataclass
 class _PostedRecv:
     ref: OpRef
     comm_id: int
@@ -37,7 +31,6 @@ class _PostedRecv:
     source: Optional[int]
     tag: int
     is_probe: bool
-    matched: bool = False
 
 
 @dataclass(frozen=True)
@@ -50,51 +43,56 @@ class MatchEvent:
 
 
 class NodeP2PMatcher:
-    """Receiver-side matching structures of one first-layer node."""
+    """Receiver-side matching structures of one first-layer node.
+
+    Only what can still match is kept: a send leaves its channel when a
+    receive consumes it, a receive or probe when it is matched, and an
+    emptied channel leaves the table — so the structures are bounded by
+    the unmatched residue, not by the length of the run.
+    """
 
     def __init__(self) -> None:
-        #: (comm, src, dst) -> sends in arrival order.
-        self._sends: Dict[Tuple[int, int, int], List[_StoredSend]] = {}
-        #: (comm, dst) -> posted receives/probes in issue order.
+        #: (comm, src, dst) -> unconsumed sends in arrival order.
+        self._sends: Dict[Tuple[int, int, int], List[PassSend]] = {}
+        #: (comm, dst) -> unmatched receives/probes in issue order.
         self._recvs: Dict[Tuple[int, int], List[_PostedRecv]] = {}
 
     # -- receives -----------------------------------------------------------
 
     def post_receive(self, op: Operation) -> Optional[MatchEvent]:
-        """Register a hosted receive/probe; return its match if found."""
-        source = op.effective_source()
+        """Register a hosted receive/probe; return its match if found.
+
+        A matched probe is complete (it never consumes); an unmatched
+        receive or directed probe stays posted for a send to arrive.
+        """
         posted = _PostedRecv(
             ref=op.ref,
             comm_id=op.comm_id,
-            source=source,
+            source=op.effective_source(),
             tag=op.tag,
             is_probe=op.is_probe(),
         )
         event = self._match_posted(posted)
-        if event is None or posted.is_probe:
-            # Probes stay posted only if unmatched; matched probes are
-            # complete (they never consume), unmatched directed probes
-            # wait for a send to arrive.
-            if event is None:
-                self._recvs.setdefault(
-                    (op.comm_id, op.rank), []
-                ).append(posted)
+        if event is None:
+            self._recvs.setdefault((op.comm_id, op.rank), []).append(posted)
         return event
 
     def _match_posted(self, posted: _PostedRecv) -> Optional[MatchEvent]:
         if posted.source is None:
             return None  # unresolved wildcard: never matches
         key = (posted.comm_id, posted.source, posted.ref[0])
-        for stored in self._sends.get(key, ()):
-            if stored.consumed:
-                continue
-            if posted.tag != ANY_TAG and posted.tag != stored.info.tag:
+        stored = self._sends.get(key)
+        if stored is None:
+            return None
+        for index, info in enumerate(stored):
+            if posted.tag != ANY_TAG and posted.tag != info.tag:
                 continue
             if not posted.is_probe:
-                stored.consumed = True
-            posted.matched = True
+                del stored[index]
+                if not stored:
+                    del self._sends[key]
             return MatchEvent(
-                recv_ref=posted.ref, send=stored.info, is_probe=posted.is_probe
+                recv_ref=posted.ref, send=info, is_probe=posted.is_probe
             )
         return None
 
@@ -107,39 +105,39 @@ class NodeP2PMatcher:
         probes plus one consuming receive).
         """
         events: List[MatchEvent] = []
-        stored = _StoredSend(info=info)
-        posted_list = self._recvs.get((info.comm_id, info.dest), [])
-        for posted in posted_list:
-            if posted.matched or posted.source != info.send_rank:
+        consumed = False
+        key = (info.comm_id, info.dest)
+        posted_list = self._recvs.get(key, [])
+        index = 0
+        while index < len(posted_list):
+            posted = posted_list[index]
+            if posted.source != info.send_rank or (
+                posted.tag != ANY_TAG and posted.tag != info.tag
+            ):
+                index += 1
                 continue
-            if posted.tag != ANY_TAG and posted.tag != info.tag:
-                continue
-            posted.matched = True
+            del posted_list[index]
             events.append(
                 MatchEvent(
                     recv_ref=posted.ref, send=info, is_probe=posted.is_probe
                 )
             )
             if not posted.is_probe:
-                stored.consumed = True
+                consumed = True
                 break  # the message is consumed; later receives wait
-        key = (info.comm_id, info.send_rank, info.dest)
-        self._sends.setdefault(key, []).append(stored)
-        if len(posted_list) > 32:
-            self._recvs[(info.comm_id, info.dest)] = [
-                p for p in posted_list if not p.matched
-            ]
+        if events and not posted_list:
+            del self._recvs[key]
+        if not consumed:
+            self._sends.setdefault(
+                (info.comm_id, info.send_rank, info.dest), []
+            ).append(info)
         return events
 
     def pending_receive_count(self) -> int:
-        return sum(
-            1 for lst in self._recvs.values() for p in lst if not p.matched
-        )
+        return sum(map(len, self._recvs.values()))
 
     def stored_send_count(self) -> int:
-        return sum(
-            1 for lst in self._sends.values() for s in lst if not s.consumed
-        )
+        return sum(map(len, self._sends.values()))
 
     def stats(self) -> Dict[str, int]:
         """Residual matcher state, for per-shard gauges at join."""

@@ -17,6 +17,7 @@ instead of leaning on pickle's class-by-reference behaviour.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Callable, Dict, List, Tuple, Type
 
@@ -280,34 +281,23 @@ def _decode_wait_info(data: WireTuple) -> Any:
 def _build_codec() -> None:
     from repro.core import messages as m
 
-    def fields(cls: Type[Any], *names: str) -> None:
+    def plain(cls: Type[Any]) -> None:
+        """A message of primitives: its declared fields, in order."""
         tag = cls.__name__
+        names = tuple(f.name for f in dataclasses.fields(cls))
 
-        def enc(msg: Any, _names: Tuple[str, ...] = names) -> WireTuple:
-            return tuple(getattr(msg, n) for n in _names)
+        def enc(msg: Any) -> WireTuple:
+            return tuple(getattr(msg, n) for n in names)
 
-        def dec(
-            payload: WireTuple,
-            _cls: Type[Any] = cls,
-            _names: Tuple[str, ...] = names,
-        ) -> Any:
-            return _cls(**dict(zip(_names, payload)))
-
-        _CODEC[tag] = (enc, dec)
+        _CODEC[tag] = (enc, lambda payload: cls(*payload))
         _TAG_OF[cls] = tag
 
-    fields(m.RankDoneMsg, "rank")
-    fields(m.PassSend, "send_rank", "send_ts", "comm_id", "dest", "tag",
-           "nbytes")
-    fields(m.RecvActive, "send_rank", "send_ts", "recv_rank", "recv_ts",
-           "probe")
-    fields(m.RecvActiveAck, "recv_rank", "recv_ts", "probe")
-    fields(m.CollectiveAck, "comm_id", "wave_index")
-    fields(m.RequestConsistentState, "detection_id")
-    fields(m.Ping, "detection_id", "remaining")
-    fields(m.Pong, "detection_id", "remaining")
-    fields(m.AckConsistentState, "detection_id", "count")
-    fields(m.RequestWaits, "detection_id")
+    for cls in (
+        m.RankDoneMsg, m.PassSend, m.RecvActive, m.RecvActiveAck,
+        m.CollectiveAck, m.RequestConsistentState, m.Ping, m.Pong,
+        m.AckConsistentState, m.RequestWaits,
+    ):
+        plain(cls)
 
     _CODEC["NewOpMsg"] = (
         lambda msg: (msg.op.rank, msg.op.ts, _op_to_dict(msg.op)),

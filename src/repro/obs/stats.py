@@ -19,7 +19,8 @@ from typing import Dict, List, Mapping
 from repro.obs.timeline import UnifiedTimeline
 from repro.perf.timers import ALL_PHASES
 
-#: Counter prefixes written by the Network instrumentation.
+#: The one ledger: sends by ``tbon.network.count_sent``, deliveries
+#: published from the nodes' ``stats`` at read-off (``core.detector``).
 SENT_PREFIX = "tbon.sent."
 SENT_BYTES_PREFIX = "tbon.sent_bytes."
 RECV_PREFIX = "tbon.recv."

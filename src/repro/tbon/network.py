@@ -28,6 +28,7 @@ import random
 from typing import Any, Callable, Dict, List, Protocol, Tuple
 
 from repro.obs.events import PID_TBON
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 #: Emit one "tbon.queue" counter sample every this many deliveries.
@@ -48,13 +49,17 @@ class Transport(Protocol):
 
     Both the simulated :class:`Network` (the inline backend) and the
     sharded backend's per-worker ``ShardNetwork`` satisfy this: a FIFO
-    ``send``, a monotonic clock ``now``, and the observer handle. Node
-    implementations (`repro.core.distributed` / `repro.core.treenodes`)
-    are written against this protocol so the same handler code runs
-    unchanged in-process and across shard workers.
+    ``send`` that keeps the ledger of what it sent (two totals, plus
+    :func:`count_sent` when observed), a monotonic clock ``now``, and
+    the observer handle. Node implementations
+    (`repro.core.distributed` / `repro.core.treenodes`) are written
+    against this protocol so the same handler code runs unchanged
+    in-process and across shard workers.
     """
 
     obs: Observer
+    messages_sent: int
+    bytes_sent: int
 
     @property
     def now(self) -> float:
@@ -93,6 +98,20 @@ def jittered_latency(
         return base + rng.random() * jitter
 
     return model
+
+
+def count_sent(metrics: MetricsRegistry, msg: object, size: int) -> None:
+    """The by-type ledger entry of one send, under ``--obs``.
+
+    Every transport's ``send`` calls this (and nothing else counts a
+    send by type), so the ``tbon.sent.*`` table is the same whichever
+    process hosted the sender. Deliveries have no entry here: the node
+    that handles a message counts it in its ``stats``, and the read-off
+    (:mod:`repro.core.detector`) publishes ``tbon.recv.*`` from those.
+    """
+    mtype = type(msg).__name__
+    metrics.inc(f"tbon.sent.{mtype}")
+    metrics.inc(f"tbon.sent_bytes.{mtype}", size)
 
 
 #: A heap entry: ``(time, seq, dst, src, msg)``. ``dst < 0`` marks a
@@ -145,6 +164,17 @@ class Network:
 
     def send(self, src: int, dst: int, msg: object, size: int = 64) -> None:
         """Send ``msg`` from ``src`` to ``dst`` over the FIFO channel."""
+        self.deliver(src, dst, msg, size)
+        self.messages_sent += 1
+        self.bytes_sent += size
+        if self.obs.enabled:
+            count_sent(self.obs.metrics, msg, size)
+
+    def deliver(self, src: int, dst: int, msg: object, size: int = 64) -> None:
+        """Put a message on its FIFO channel without counting it as
+        sent: the transport half of ``send``, and the way in for a
+        message another transport sent (and counted) that continues
+        here."""
         if dst not in self._nodes:
             raise KeyError(f"send to unattached node {dst}")
         latency = self._latency(src, dst, size)
@@ -162,15 +192,9 @@ class Network:
         heapq.heappush(
             self._queue, (arrival, next(self._seq), dst, src, msg)
         )
-        self.messages_sent += 1
-        self.bytes_sent += size
         if self.obs.enabled:
-            mtype = type(msg).__name__
-            self.obs.metrics.inc(f"tbon.sent.{mtype}")
-            self.obs.metrics.inc(f"tbon.sent_bytes.{mtype}", size)
-            # Untyped total: the live monitor derives its channel
-            # backlog (sent - delivered) from this pair without
-            # enumerating per-type counters every tick.
+            # Entered / left this network's queue (``run`` counts the
+            # other half): the live monitor's backlog pair.
             self.obs.metrics.inc("tbon.sent_total")
 
     def call_at(self, time: float, callback: Callable[[], None]) -> None:
@@ -228,8 +252,6 @@ class Network:
                 self._busy_until[dst] = start + node_cost
                 self._now = start
             if obs.enabled:
-                mtype = type(msg).__name__
-                obs.metrics.inc(f"tbon.recv.{mtype}")
                 obs.metrics.inc("tbon.delivered_total")
                 obs.metrics.gauge("tbon.queue_depth").set(len(queue))
                 # A decimated counter track ("tbon.queue") so Perfetto
@@ -244,7 +266,7 @@ class Network:
                         values={"depth": float(len(queue))},
                     )
                 obs.tracer.instant(
-                    mtype,
+                    type(msg).__name__,
                     cat="tbon.deliver",
                     ts=self._now * 1e6,
                     pid=PID_TBON,

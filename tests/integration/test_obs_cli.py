@@ -133,3 +133,23 @@ def test_obs_disabled_by_default(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "observability summary" not in out
+
+
+def test_sharded_stats_table_totals_the_tool_messages(tmp_path, capsys):
+    """The per-type table of a sharded run covers every tool message:
+    its ``total`` row is the ``tool messages:`` line of the run."""
+    trace = tmp_path / "sharded.trace.json"
+    code = main([
+        "demo", "stress", "-n", "16", "--backend", "sharded",
+        "--obs-trace", str(trace),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    (line,) = [l for l in out.splitlines() if l.startswith("tool messages:")]
+    messages = int(line.split()[2].rstrip(";").replace(",", ""))
+
+    assert main(["stats", str(trace)]) == 0
+    counts = _counter_rows(capsys.readouterr().out)
+    assert counts["total"] == messages == 2016
+    for mtype in ("NewOpMsg", "PassSend", "RecvActive", "RecvActiveAck"):
+        assert counts.get(mtype, 0) > 0

@@ -8,7 +8,7 @@ reach ``repro.analysis.driver.extract_programs`` (``lint``, ``verify``)
 or ``repro.api._run_programs`` (``blame``, ``watch``, ``Session.blame``,
 the ``analyze`` and ``blame`` ops of ``repro serve``), as lists of
 function names, one per rank; for ``classify`` and ``prove``, which run
-nothing, the program names they print. ``benchmarks/diff_cli.py`` runs
+nothing, the program names they print. ``benchmarks/diff cli`` runs
 the same files through the same commands as a differential.
 """
 import ast

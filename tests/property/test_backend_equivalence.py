@@ -102,3 +102,59 @@ def test_sharded_matches_inline_on_figure_8_symmetric_ping():
             ShardedBackend(shards=shards).run(res.matched, seed=7)
         )
         assert got == reference
+
+
+_LEDGER_PREFIXES = ("tbon.sent.", "tbon.sent_bytes.", "tbon.recv.")
+
+
+def _observed_ledger(backend, matched, seed):
+    """(outcome, per-type tbon counters, gauges) of an observed run."""
+    from repro.obs.observer import make_observer
+
+    observer = make_observer(True)
+    outcome = backend.run(
+        matched, seed=seed, generate_outputs=False, observer=observer
+    )
+    snapshot = observer.metrics.snapshot()
+    counters = {
+        name: value
+        for name, value in snapshot["counters"].items()
+        if name.startswith(_LEDGER_PREFIXES)
+    }
+    return outcome, counters, snapshot["gauges"]
+
+
+@pytest.mark.parametrize("batch", range(3))
+def test_obs_reports_the_same_traffic_on_both_backends(batch):
+    """What ``--obs`` says about tool traffic does not depend on where
+    the first layer ran: one ledger, by type, equal to the outcome."""
+    checked = 0
+    seed = batch * 1000
+    while checked < 4:
+        seed += 1
+        matched = _random_matched_trace(seed)
+        if matched is None:
+            continue
+        checked += 1
+        _, reference, _ = _observed_ledger(InlineBackend(), matched, seed)
+        for backend in (
+            InlineBackend(), ShardedBackend(shards=2), ShardedBackend(shards=3)
+        ):
+            outcome, counters, gauges = _observed_ledger(
+                backend, matched, seed
+            )
+            where = f"seed {seed}, {backend.describe()}"
+            assert counters == reference, where
+            for prefix, total in (
+                ("tbon.sent.", outcome.messages_sent),
+                ("tbon.sent_bytes.", outcome.bytes_sent),
+                ("tbon.recv.", outcome.messages_sent),
+            ):
+                assert total == sum(
+                    v for k, v in counters.items() if k.startswith(prefix)
+                ), (where, prefix)
+            assert gauges["tbon.messages_total"]["value"] == (
+                outcome.messages_sent
+            ), where
+            assert gauges["tbon.bytes_total"]["value"] == outcome.bytes_sent
+            assert gauges["tbon.peak_window"]["value"] == outcome.peak_window

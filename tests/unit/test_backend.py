@@ -10,14 +10,15 @@ from repro.backend import (
     plan_shards,
     shard_of_node,
 )
-from repro.backend.sharded import ShardNetwork
+from repro.backend.sharded import ShardNetwork, _finish_payload
+from repro.core.detector import DistributedDeadlockDetector
 from repro.core.messages import Ping, Pong
 from repro.mpi.blocking import BlockingSemantics
 from repro.perf.placement import Placement
 from repro.runtime import run_programs
 from repro.tbon.topology import TbonTopology
-from repro.util.errors import ProtocolError
-from repro.workloads import fig2a_programs
+from repro.util.errors import ProtocolError, ResourceLimitError
+from repro.workloads import build_stress_trace, fig2a_programs
 
 
 class TestMakeBackend:
@@ -202,3 +203,59 @@ class TestShardedBackendContract:
         assert timing["modeled_latency_seconds"] >= max(
             timing["shard_busy_seconds"]
         )
+
+    def test_one_read_off_for_nodes_here_and_finish_payloads(self):
+        """The same nodes read the same whether the read-off takes them
+        in this process or out of the workers' pickled finish payloads,
+        and a real sharded run reads the same again."""
+        import pickle
+
+        from repro.obs.observer import NULL_OBSERVER
+
+        matched = build_stress_trace(16, 4)
+        detector = DistributedDeadlockDetector(matched, seed=3)
+        inline = detector.run()
+        shipped = {}
+        for node_ids in plan_shards(detector.topology, 2):
+            local = {n: detector.first_layer[n] for n in node_ids}
+            net = ShardNetwork(local, emit=None, observer=NULL_OBSERVER)
+            payload = _finish_payload(None, local, net, NULL_OBSERVER, 0.0)
+            shipped.update(pickle.loads(pickle.dumps(payload))["first_layer"])
+        sharded = ShardedBackend(shards=2).run(matched, seed=3)
+        for other in (detector.read_off(shipped), sharded):
+            assert other.stable_state == inline.stable_state
+            assert other.peak_window >= 1
+            assert other.node_stats == inline.node_stats
+            assert other.messages_sent == inline.messages_sent
+        assert detector.read_off(shipped).peak_window == inline.peak_window
+
+
+class TestWorkerErrors:
+    """An error raised inside a shard worker reaches the caller."""
+
+    @pytest.mark.parametrize(
+        "backend", [InlineBackend(), ShardedBackend(shards=2)],
+        ids=lambda b: b.name,
+    )
+    def test_window_exhaustion_is_the_same_error_on_both_backends(
+        self, backend
+    ):
+        matched = build_stress_trace(8, 4)
+        with pytest.raises(ResourceLimitError, match="trace window") as info:
+            backend.run(matched, window_limit=5)
+        if backend.name == "sharded":
+            cause = info.value.__cause__
+            assert isinstance(cause, ProtocolError)
+            assert "failed:\nTraceback" in str(cause)
+
+    def test_any_other_worker_crash_is_a_protocol_error_with_traceback(
+        self, monkeypatch
+    ):
+        def boom(*_args):
+            raise ValueError("not a tool error")
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setattr("repro.backend.sharded._inject_app_events", boom)
+        with pytest.raises(ProtocolError, match="shard . failed") as info:
+            ShardedBackend(shards=2).run(build_stress_trace(8, 2))
+        assert "ValueError: not a tool error" in str(info.value)

@@ -114,3 +114,45 @@ class TestProbes:
         kinds = sorted(e.is_probe for e in events)
         assert kinds == [False, True]
         assert m.stored_send_count() == 0
+
+
+class TestRetention:
+    """Only what can still match is kept (Section 4.2's bounded window)."""
+
+    @pytest.mark.parametrize("send_first", [True, False])
+    def test_matched_pairs_leave_nothing_behind(self, send_first):
+        m = NodeP2PMatcher()
+        for ts in range(100):
+            if send_first:
+                m.store_send(_send_info(ts=ts))
+                assert m.post_receive(_recv(ts=ts)) is not None
+            else:
+                assert m.post_receive(_recv(ts=ts)) is None
+                assert len(m.store_send(_send_info(ts=ts))) == 1
+        assert m._sends == {} and m._recvs == {}
+        assert m.stats() == {"pending_receives": 0, "stored_sends": 0}
+
+    def test_a_consumed_send_goes_an_unconsumed_neighbour_stays(self):
+        m = NodeP2PMatcher()
+        m.store_send(_send_info(ts=0, tag=1))
+        m.store_send(_send_info(ts=1, tag=2))
+        m.post_receive(_recv(tag=2))
+        ((kept,),) = m._sends.values()
+        assert kept.send_ts == 0 and m.stored_send_count() == 1
+
+    def test_a_detector_run_retains_only_the_residue(self):
+        from repro.core.detector import DistributedDeadlockDetector
+        from repro.workloads import build_stress_trace
+
+        detector = DistributedDeadlockDetector(
+            build_stress_trace(8, iterations=500), generate_outputs=False
+        )
+        assert not detector.run().has_deadlock
+        for node in detector.first_layer.values():
+            kept = sum(map(len, node.matcher._sends.values()))
+            posted = sum(map(len, node.matcher._recvs.values()))
+            assert {
+                "pending_receives": posted, "stored_sends": kept
+            } == node.matcher.stats() == {
+                "pending_receives": 0, "stored_sends": 0
+            }

@@ -119,6 +119,44 @@ class TestOneDriver:
         assert offences == []
 
 
+class TestOneAssembly:
+    def test_only_the_detector_module_builds_drives_and_reads_the_tool(self):
+        """Under ``src/repro`` one module assembles the Figure 1(b) tree
+        and reads a run off it: nothing but ``core/detector.py``
+        constructs a root, interior or first-layer node (the last in
+        one function) or a ``DistributedOutcome``, or sets a ``tbon.*``
+        gauge through ``set_gauge``; and the sharded backend keeps no
+        quiescence or completeness check and no relay subtraction."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        built = {"RootNode", "InteriorNode", "FirstLayerNode",
+                 "DistributedOutcome"}
+        root = Path(repro.__file__).parent
+        builders, gauges = [], set()
+        for path in sorted(root.rglob("*.py")):
+            where = str(path.relative_to(root))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = _terminal_name(node.func)
+                if name in built:
+                    builders.append((where, name))
+                elif name == "set_gauge" and "tbon." in ast.unparse(
+                    node.args[0]
+                ):
+                    gauges.add(where)
+        assert sorted(builders) == [
+            ("core/detector.py", name) for name in sorted(built)
+        ]
+        assert gauges == {"core/detector.py"}
+        sharded = (root / "backend" / "sharded.py").read_text()
+        for gone in ("did not quiesce", "incomplete", "relayed_bytes"):
+            assert gone not in sharded
+
+
 class TestOneReader:
     def test_only_the_reader_imports_a_rank_program_file(self):
         """Under ``src/repro`` one module turns a ``.py`` path into
