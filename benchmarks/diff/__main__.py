@@ -4,7 +4,7 @@ import sys
 
 import harness
 
-MATRICES = ("deciders", "recorders", "cli", "backends")
+MATRICES = ("deciders", "recorders", "cli", "backends", "symbolic")
 
 
 def main(argv):

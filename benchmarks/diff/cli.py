@@ -48,15 +48,11 @@ HTML_TAILS = re.compile(
 #: The checkout ``dump`` runs in.
 ROOT = os.getcwd()
 
-#: The rank-program fixture files, the same for both checkouts.
-FIXTURES = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)
-    ))),
-    "tests", "fixtures", "program_files",
-)
 #: What every scratch directory links to.
-LINKS = {"examples": os.path.join(ROOT, "examples"), "fixtures": FIXTURES}
+LINKS = {
+    "examples": os.path.join(ROOT, "examples"),
+    "fixtures": harness.FIXTURES,
+}
 FIXTURE_COMMANDS = (
     ("lint", "-v"), ("classify",), ("prove",), ("verify",),
     ("blame", "-n", "4"), ("watch", "-n", "4"),
@@ -169,7 +165,8 @@ def _groups():
     yield from OTHER_GROUPS
     yield "program-files", (), [
         (command, f"fixtures/{name}", *flags)
-        for name in sorted(os.listdir(FIXTURES)) if name.endswith(".py")
+        for name in sorted(os.listdir(harness.FIXTURES))
+        if name.endswith(".py")
         for command, *flags in FIXTURE_COMMANDS
     ]
     from repro.cli import COMMANDS

@@ -10,7 +10,9 @@ run and what to keep of it — and shares this file's ``dump`` /
 * ``cli.py``       what the commands print and write (``repro.api``,
   ``cli/``, ``obs/exporters``, ``programfile``);
 * ``backends.py``  the distributed tool on both backends, obs off/on
-  (``core/detector``, ``backend/``, ``tbon/network``, the matcher).
+  (``core/detector``, ``backend/``, ``tbon/network``, the matcher);
+* ``symbolic.py``  the symbolic pass, source to certificate (``symexec``,
+  the argument rule of ``programfile``, the builders of ``Rank``).
 
 Run ``dump`` once in each checkout, from its root so ``src``,
 ``examples/`` and ``tests/`` are that checkout's, always through *this*
@@ -32,6 +34,16 @@ import re
 #: run-to-run noise and every one is printed or serialized that way;
 #: integers (ranks, counts, sequence numbers, logical clocks) stay.
 MASK = re.compile(r" *(?:\d+\.\d+(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)")
+
+
+#: The rank-program fixture files next to this checkout's script: the
+#: same files for both checkouts of a comparison.
+FIXTURES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)
+    ))),
+    "tests", "fixtures", "program_files",
+)
 
 
 def mask(text, *directories):

@@ -14,7 +14,12 @@ handle. That protocol has sharp edges a pure AST pass can catch:
   collective sequences per branch — the textbook root/kind mismatch
   pattern (Section 2's erroneous applications);
 * literal tags outside the portable ``[0, MPI_TAG_UB]`` window;
-* ``MPI_ANY_SOURCE`` used as a send destination.
+* ``MPI_ANY_SOURCE`` used as a send destination;
+* a call ``Rank`` rejects — wrong arity, unknown keyword, unknown
+  method (``bad-call``): the program raises there when it runs.
+
+Which argument of a call site is its ``dest`` or its ``tag`` is read
+off ``Rank``'s signatures (:func:`repro.programfile.arguments`).
 
 Findings are :class:`~repro.checks.findings.CheckFinding` records with
 ``rank=None`` (source findings are per-program, not per-process) and a
@@ -29,11 +34,12 @@ from typing import List, Optional, Set, Tuple
 from repro.checks.findings import CheckFinding, Severity
 from repro.checks.local import MIN_TAG_UB
 from repro.programfile import (
+    ALL_METHODS,
     COLLECTIVE_METHODS,
     GENERATOR_METHODS,
-    RECV_METHODS,
     SEND_METHODS,
     RankProgram,
+    arguments,
     find_rank_programs,
     handle_call,
     program_handle,
@@ -97,9 +103,9 @@ class _Linter:
         self._check_rank_dependent_collective_loops(fn, handles)
         for call in scoped_walk(fn):
             method = handle_call(call, handles)
-            if method is None:
-                continue
-            self._check_call_arguments(call, method)  # type: ignore[arg-type]
+            if method is not None:
+                assert isinstance(call, ast.Call)
+                self._check_call_arguments(call, method)
 
     def _collect_aliases(self, fn: ast.FunctionDef,
                          handles: Set[str]) -> None:
@@ -127,7 +133,7 @@ class _Linter:
                 yielded_from.add(id(node.value))
         for node in scoped_walk(fn):
             method = handle_call(node, handles)
-            if method is None:
+            if method not in ALL_METHODS:
                 continue
             if method in GENERATOR_METHODS:
                 if id(node) in yielded_from:
@@ -274,47 +280,30 @@ class _Linter:
     # -- argument checks -------------------------------------------------
 
     def _check_call_arguments(self, node: ast.Call, method: str) -> None:
-        if method in SEND_METHODS:
-            dest = self._argument(node, 0, "dest")
-            if dest is not None and _is_any_source(dest):
-                self.report(
-                    "any-source-send", Severity.ERROR, node,
-                    f"MPI_ANY_SOURCE used as the destination of "
-                    f"{method}(); wildcards are only valid on the "
-                    "receive side",
-                )
-            self._check_tag_literal(node, method,
-                                    self._argument(node, 1, "tag"),
-                                    is_send=True)
-        elif method in RECV_METHODS:
-            self._check_tag_literal(node, method,
-                                    self._argument(node, 1, "tag"),
-                                    is_send=False)
-        elif method == "sendrecv":
-            dest = self._argument(node, 0, "dest")
-            if dest is not None and _is_any_source(dest):
-                self.report(
-                    "any-source-send", Severity.ERROR, node,
-                    "MPI_ANY_SOURCE used as the destination of "
-                    "sendrecv(); wildcards are only valid on the "
-                    "receive side",
-                )
-            self._check_tag_literal(node, method,
-                                    self._argument(node, 2, "sendtag"),
-                                    is_send=True)
-            self._check_tag_literal(node, method,
-                                    self._argument(node, 3, "recvtag"),
-                                    is_send=False)
-
-    @staticmethod
-    def _argument(node: ast.Call, index: int,
-                  keyword: str) -> Optional[ast.AST]:
-        for kw in node.keywords:
-            if kw.arg == keyword:
-                return kw.value
-        if index < len(node.args):
-            return node.args[index]
-        return None
+        try:
+            args = arguments(node, method) or {}
+        except TypeError as exc:
+            self.report(
+                "bad-call", Severity.ERROR, node,
+                f"{exc}; the program raises here when it runs",
+            )
+            return
+        dest = args.get("dest")
+        if dest is not None and _is_any_source(dest):
+            self.report(
+                "any-source-send", Severity.ERROR, node,
+                f"MPI_ANY_SOURCE used as the destination of "
+                f"{method}(); wildcards are only valid on the "
+                "receive side",
+            )
+        for name, is_send in (
+            ("tag", method in SEND_METHODS),
+            ("sendtag", True),
+            ("recvtag", False),
+        ):
+            self._check_tag_literal(
+                node, method, args.get(name), is_send=is_send
+            )
 
     def _check_tag_literal(self, node: ast.Call, method: str,
                            tag: Optional[ast.AST], *,

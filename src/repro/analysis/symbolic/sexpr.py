@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,9 @@ class Affine:
 
 
 class _UnknownType:
-    """Singleton lattice top."""
+    """Singleton lattice top. What is taken out of it — an element, an
+    iteration — is unknown too, so library code handed symbolic values
+    (the ``Rank`` builders' ``tuple(requests)``) runs through it."""
 
     _instance: Optional["_UnknownType"] = None
 
@@ -101,6 +103,12 @@ class _UnknownType:
 
     def __repr__(self) -> str:
         return "UNKNOWN"
+
+    def __iter__(self) -> Iterator["_UnknownType"]:
+        return iter((self,))
+
+    def __getitem__(self, index: object) -> "_UnknownType":
+        return self
 
 
 UNKNOWN = _UnknownType()
@@ -124,6 +132,9 @@ class RequestTuple:
     """An immutable list/tuple of request handles (``waitall`` input)."""
 
     items: Tuple[RequestVal, ...]
+
+    def __iter__(self) -> Iterator[RequestVal]:
+        return iter(self.items)
 
 
 #: A value in the environment.

@@ -14,9 +14,16 @@ rank-parametric *term tree*:
   relation (``rank == 0``-style role splits).
 
 Helper generators driven by ``yield from`` are inlined at their call
-sites when the call graph (:mod:`.cfg`) proves them non-recursive;
-``rank.sendrecv`` decomposes into its Isend+Irecv+Waitall expansion
-exactly as the runtime does.
+sites when the call graph (:mod:`.cfg`) proves them non-recursive.
+
+What a call *is* is not written here: ``<handle>.<method>(...)`` is
+bound by :func:`repro.programfile.arguments` and the real builder is
+called with symbolic arguments on a stand-in ``Rank``. The ``Call`` it
+returns — or the calls ``Rank.sendrecv`` itself yields when driven with
+symbolic requests — supplies kind, peer, tag, root, requests, bytes,
+group and every default; a call ``Rank`` rejects is a program that
+raises, hence :class:`SymbolicUnsupported`. This module adds only the
+fragment boundary, stated on ``OpKind`` (:data:`_OUTSIDE_FRAGMENT`).
 
 The tree instantiates to the exact per-rank
 :class:`~repro.mpi.ops.Operation` sequences via :func:`instantiate`
@@ -35,8 +42,10 @@ from __future__ import annotations
 import ast
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple
+from typing import Union, cast
 
+from repro.analysis.matchcore import runtime_steered
 from repro.analysis.symbolic import sexpr
 from repro.analysis.symbolic.cfg import CallGraph, build_call_graph
 from repro.analysis.symbolic.sexpr import (
@@ -62,8 +71,13 @@ from repro.mpi.constants import (
     is_send_kind,
 )
 from repro.mpi.ops import Operation
-from repro.programfile import RankProgram, find_rank_programs
-from repro.runtime.program import Call
+from repro.programfile import (
+    RankProgram,
+    arguments,
+    find_rank_programs,
+    handle_call,
+)
+from repro.runtime.program import Call, Rank
 from repro.runtime.recording import CallRecorder
 
 #: Constant-bound loops up to this trip count are unrolled with the
@@ -99,16 +113,9 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-class _Handle:
-    """Sentinel environment value for the Rank handle parameter."""
-
-    def __repr__(self) -> str:
-        return "HANDLE"
-
-
-HANDLE = _Handle()
-
-Value = Union[Affine, RequestVal, RequestTuple, _UnknownType, _Handle]
+#: An environment value; the handle parameter is bound to the stand-in
+#: :class:`Rank` the interpreter calls the builders on.
+Value = Union[Affine, RequestVal, RequestTuple, _UnknownType, Rank]
 Env = Dict[str, Value]
 
 
@@ -118,23 +125,23 @@ Env = Dict[str, Value]
 
 @dataclass
 class SymOp:
-    """One MPI call with affine envelope fields."""
+    """One MPI call with affine envelope fields: the ``Call`` its
+    builder returned for symbolic arguments, normalized
+    (:meth:`_SymbolicInterpreter._emit`)."""
 
     kind: OpKind
     method: str
     lineno: int
-    peer: Optional[Affine] = None
-    tag: Affine = field(default_factory=lambda: const(0))
-    root: Optional[Affine] = None
-    nbytes: int = 8
+    peer: Optional[Affine]
+    tag: Affine
+    root: Optional[Affine]
+    nbytes: int
     #: Symbolic request ids a completion waits on.
-    requests: Tuple[int, ...] = ()
+    requests: Tuple[int, ...]
+    #: Symbolic sendrecv-group id shared by one decomposition.
+    group: Optional[int]
     #: Symbolic request id this op creates (isend/irecv).
     makes_request: Optional[int] = None
-    #: Symbolic sendrecv-group id shared by one decomposition.
-    group: Optional[int] = None
-    #: True on the first op of a decomposition (allocates the group).
-    opens_group: bool = False
 
     def describe(self) -> str:
         parts: List[str] = []
@@ -223,45 +230,17 @@ class ProgramSummary:
 
 
 # ----------------------------------------------------------------------
-# Method tables
+# The fragment boundary
 # ----------------------------------------------------------------------
 
-_BLOCKING_SENDS = {
-    "send": OpKind.SEND,
-    "ssend": OpKind.SSEND,
-    "bsend": OpKind.BSEND,
-    "rsend": OpKind.RSEND,
-}
-_NONBLOCKING_SENDS = {
-    "isend": OpKind.ISEND,
-    "issend": OpKind.ISSEND,
-    "ibsend": OpKind.IBSEND,
-    "irsend": OpKind.IRSEND,
-}
-_ROOTED_COLLECTIVES = {
-    "bcast": OpKind.BCAST,
-    "reduce": OpKind.REDUCE,
-    "gather": OpKind.GATHER,
-    "scatter": OpKind.SCATTER,
-}
-_PLAIN_COLLECTIVES = {
-    "barrier": OpKind.BARRIER,
-    "allreduce": OpKind.ALLREDUCE,
-    "allgather": OpKind.ALLGATHER,
-    "alltoall": OpKind.ALLTOALL,
-    "scan": OpKind.SCAN,
-    "reduce_scatter": OpKind.REDUCE_SCATTER,
-}
-#: Methods whose semantics (runtime-steered results, persistent request
-#: state machines, derived communicators) are outside the v1 fragment.
-_UNSUPPORTED_METHODS = frozenset(
-    {
-        "iprobe", "test", "testall", "testany", "testsome",
-        "waitany", "waitsome",
-        "send_init", "recv_init", "start", "startall", "request_free",
-        "comm_dup", "comm_split", "comm_create", "comm_free",
-    }
-)
+#: Kinds outside the v1 fragment for their state — persistent request
+#: state machines, derived communicators. Those with a runtime-steered
+#: result are :func:`~repro.analysis.matchcore.runtime_steered`'s.
+_OUTSIDE_FRAGMENT = frozenset({
+    OpKind.SEND_INIT, OpKind.RECV_INIT, OpKind.PSTART_SEND,
+    OpKind.PSTART_RECV, OpKind.REQUEST_FREE, OpKind.COMM_DUP,
+    OpKind.COMM_SPLIT, OpKind.COMM_CREATE, OpKind.COMM_FREE,
+})
 
 _ANY_SOURCE_NAMES = frozenset({"ANY_SOURCE", "MPI_ANY_SOURCE"})
 _ANY_TAG_NAMES = frozenset({"ANY_TAG", "MPI_ANY_TAG"})
@@ -277,15 +256,6 @@ _RELOPS = {
 }
 
 
-def _argument(node: ast.Call, index: int, keyword: str) -> Optional[ast.expr]:
-    for kw in node.keywords:
-        if kw.arg == keyword:
-            return kw.value
-    if index < len(node.args):
-        return node.args[index]
-    return None
-
-
 # ----------------------------------------------------------------------
 # The interpreter
 # ----------------------------------------------------------------------
@@ -296,15 +266,17 @@ class _SymbolicInterpreter:
         self.filename = filename
         self.recursive = graph.recursive_functions()
         self._next_request = 0
-        self._next_group = 0
         self._next_loop_var = 0
+        #: The handle the real builders are called on; its sendrecv
+        #: counter numbers the symbolic groups.
+        self._rank = Rank(cast(Any, RANK), _world(1))
 
     # -- entry ----------------------------------------------------------
 
     def run(self, program: RankProgram) -> List[Term]:
         env: Env = {}
         self._bind_defaults(program.node, env)
-        env[program.handle] = HANDLE
+        env[program.handle] = self._rank
         out: List[Term] = []
         try:
             self._exec_block(program.node.body, env, out, 0)
@@ -378,32 +350,23 @@ class _SymbolicInterpreter:
         self, stmt: ast.Expr, env: Env, out: List[Term], depth: int
     ) -> None:
         value = stmt.value
-        if isinstance(value, (ast.Yield, ast.YieldFrom)):
-            self._value_of(value, env, out, depth)
-            return
-        if isinstance(value, ast.Constant):
-            return  # docstring
-        if isinstance(value, ast.Call):
-            func = value.func
+        func = value.func if isinstance(value, ast.Call) else None
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in env
+            and not isinstance(env[func.value.id], Rank)
+        ):
             # A method call on a tracked value (list.append & co) mutates
             # it behind the interpreter's back: drop to UNKNOWN so a
             # later waitall cannot use a stale request tuple.
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in env
-                and not isinstance(env[func.value.id], _Handle)
-            ):
-                env[func.value.id] = UNKNOWN
-                return
-            if isinstance(func, ast.Attribute) and isinstance(
-                env.get(func.value.id) if isinstance(func.value, ast.Name)
-                else None, _Handle
-            ):
-                # Handle call built but never yielded — astlint reports
-                # it (unyielded-call); nothing to extract.
-                return
-            return  # other bare calls have no effect in the domain
+            env[func.value.id] = UNKNOWN
+        else:
+            # A yield is extracted. A handle call built but never
+            # yielded has nothing to extract (astlint reports
+            # unyielded-call) unless ``Rank`` rejects it; a docstring or
+            # any other bare call has no effect in the domain.
+            self._value_of(value, env, out, depth)
 
     def _exec_assign(
         self, stmt: ast.Assign, env: Env, out: List[Term], depth: int
@@ -624,14 +587,8 @@ class _SymbolicInterpreter:
         return self._eval(expr, env)
 
     def _handle_method(self, node: ast.expr, env: Env) -> Optional[str]:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and isinstance(env.get(node.func.value.id), _Handle)
-        ):
-            return node.func.attr
-        return None
+        handles = [n for n, value in env.items() if isinstance(value, Rank)]
+        return handle_call(node, handles)
 
     def _do_yield(
         self, call: ast.expr, env: Env, out: List[Term]
@@ -641,21 +598,26 @@ class _SymbolicInterpreter:
             raise SymbolicUnsupported(
                 "yield of a value that is not an MPI call", call.lineno
             )
-        assert isinstance(call, ast.Call)
-        return self._emit_call(call, method, env, out)
+        built, values = self._build(call, method, env)
+        if not isinstance(built, Call):
+            raise SymbolicUnsupported(
+                f"cannot extract {method}() symbolically", call.lineno
+            )
+        return self._emit(built, method, call.lineno, values, out)
 
     def _do_yield_from(
         self, call: ast.expr, env: Env, out: List[Term], depth: int
     ) -> Value:
         method = self._handle_method(call, env)
-        if method == "sendrecv":
-            assert isinstance(call, ast.Call)
-            return self._emit_sendrecv(call, env, out)
         if method is not None:
-            raise SymbolicUnsupported(
-                f"yield from {method}() is outside the symbolic fragment",
-                call.lineno,
-            )
+            built, values = self._build(call, method, env)
+            if isinstance(built, Call):
+                raise SymbolicUnsupported(
+                    f"yield from {method}() is outside the symbolic "
+                    "fragment",
+                    call.lineno,
+                )
+            return self._drive(built, method, call.lineno, values, out)
         if (
             isinstance(call, ast.Call)
             and isinstance(call.func, ast.Name)
@@ -725,202 +687,116 @@ class _SymbolicInterpreter:
 
     # -- call emission --------------------------------------------------
 
-    def _emit_call(
-        self, call: ast.Call, method: str, env: Env, out: List[Term]
+    def _raises(self, said: object, lineno: int) -> SymbolicUnsupported:
+        """A call ``Rank`` rejects, with what it ``said``."""
+        return SymbolicUnsupported(
+            f"{said} — the program raises at {self.filename}:{lineno}",
+            lineno,
+        )
+
+    def _build(
+        self, node: ast.expr, method: str, env: Env
+    ) -> Tuple[Any, Dict[str, object]]:
+        """What ``Rank`` builds for ``<handle>.<method>(...)`` — the
+        ``Call`` of a single-call builder, the generator of a composite
+        one — and the symbolic arguments it was built from."""
+        assert isinstance(node, ast.Call)
+        try:
+            nodes = arguments(node, method)
+        except TypeError as exc:
+            raise self._raises(exc, node.lineno) from None
+        if nodes is None:
+            raise SymbolicUnsupported(
+                f"{method}() unpacks its arguments", node.lineno
+            )
+        values: Dict[str, object] = {
+            name: self._eval(arg, env) for name, arg in nodes.items()
+        }
+        try:
+            return getattr(self._rank, method)(**values), values
+        except TypeError as exc:
+            raise self._raises(
+                f"Rank.{method}(): {exc}", node.lineno
+            ) from None
+
+    def _drive(
+        self, calls: Generator[Call, Value, None], method: str,
+        lineno: int, values: Dict[str, object], out: List[Term],
     ) -> Value:
-        if method in _UNSUPPORTED_METHODS:
+        """Run a composite builder's own generator, answering every
+        call it yields as a program's yield would be answered."""
+        reply: Any = None
+        while True:
+            try:
+                call = calls.send(reply)
+            except StopIteration:
+                return UNKNOWN
+            except TypeError as exc:
+                raise self._raises(f"Rank.{method}(): {exc}", lineno) from None
+            reply = self._emit(call, method, lineno, values, out)
+
+    def _emit(
+        self, call: Call, method: str, lineno: int,
+        values: Dict[str, object], out: List[Term],
+    ) -> Value:
+        """Append the :class:`SymOp` of a built ``call``; the value the
+        program's yield expression gets back."""
+        kind = call.kind
+        if runtime_steered(kind) or kind in _OUTSIDE_FRAGMENT:
             raise SymbolicUnsupported(
                 f"{method}() is outside the symbolic fragment "
                 "(runtime-steered result or persistent/communicator "
                 "state)",
-                call.lineno,
+                lineno,
             )
-        self._reject_comm_kwarg(call, method)
-        nbytes = self._nbytes_of(call)
-        if method in _BLOCKING_SENDS or method in _NONBLOCKING_SENDS:
-            peer = self._field(call, 0, "dest", env, method)
-            tag = self._field_default(call, 1, "tag", env, method, const(0))
-            op = SymOp(
-                kind=(_BLOCKING_SENDS.get(method)
-                      or _NONBLOCKING_SENDS[method]),
-                method=method, lineno=call.lineno,
-                peer=peer, tag=tag, nbytes=nbytes,
+        if call.comm is not self._rank.world:
+            raise SymbolicUnsupported(
+                f"{method}(comm=...) uses a derived communicator — "
+                "outside the symbolic fragment",
+                lineno,
             )
-            result: Value = UNKNOWN
-            if method in _NONBLOCKING_SENDS:
-                op.makes_request = self._fresh_request()
-                result = RequestVal(op.makes_request)
-            out.append(op)
-            return result
-        if method in ("recv", "irecv", "probe"):
-            peer = self._field_default(
-                call, 0, "source", env, method, const(ANY_SOURCE)
-            )
-            tag = self._field_default(
-                call, 1, "tag", env, method, const(ANY_TAG)
-            )
-            kind = {
-                "recv": OpKind.RECV,
-                "irecv": OpKind.IRECV,
-                "probe": OpKind.PROBE,
-            }[method]
-            op = SymOp(kind=kind, method=method, lineno=call.lineno,
-                       peer=peer, tag=tag,
-                       nbytes=0 if method == "probe" else nbytes)
-            if method == "irecv":
-                op.makes_request = self._fresh_request()
-                out.append(op)
-                return RequestVal(op.makes_request)
-            out.append(op)
-            return UNKNOWN
-        if method == "wait":
-            request = self._eval_argument(call, 0, "request", env)
-            if not isinstance(request, RequestVal):
-                raise SymbolicUnsupported(
-                    "wait() on a request outside the symbolic domain",
-                    call.lineno,
-                )
-            out.append(SymOp(
-                kind=OpKind.WAIT, method=method, lineno=call.lineno,
-                requests=(request.sym_id,),
-            ))
-            return UNKNOWN
-        if method == "waitall":
-            requests = self._eval_argument(call, 0, "requests", env)
-            if not (
-                isinstance(requests, RequestTuple) and requests.items
-            ):
-                raise SymbolicUnsupported(
-                    "waitall() on requests outside the symbolic domain",
-                    call.lineno,
-                )
-            out.append(SymOp(
-                kind=OpKind.WAITALL, method=method, lineno=call.lineno,
-                requests=tuple(r.sym_id for r in requests.items),
-            ))
-            return UNKNOWN
-        if method in _ROOTED_COLLECTIVES:
-            root = self._field(call, 0, "root", env, method)
-            out.append(SymOp(
-                kind=_ROOTED_COLLECTIVES[method], method=method,
-                lineno=call.lineno, root=root, nbytes=nbytes,
-            ))
-            return UNKNOWN
-        if method in _PLAIN_COLLECTIVES:
-            out.append(SymOp(
-                kind=_PLAIN_COLLECTIVES[method], method=method,
-                lineno=call.lineno, nbytes=nbytes,
-            ))
-            return UNKNOWN
-        if method == "finalize":
-            out.append(SymOp(
-                kind=OpKind.FINALIZE, method=method, lineno=call.lineno,
-                nbytes=0,
-            ))
-            return UNKNOWN
-        raise SymbolicUnsupported(
-            f"cannot extract {method}() symbolically", call.lineno
-        )
 
-    def _emit_sendrecv(
-        self, call: ast.Call, env: Env, out: List[Term]
-    ) -> Value:
-        self._reject_comm_kwarg(call, "sendrecv")
-        nbytes = self._nbytes_of(call)
-        dest = self._field(call, 0, "dest", env, "sendrecv")
-        source = self._field(call, 1, "source", env, "sendrecv")
-        sendtag = self._field_default(
-            call, 2, "sendtag", env, "sendrecv", const(0)
-        )
-        recvtag = self._field_default(
-            call, 3, "recvtag", env, "sendrecv", const(ANY_TAG)
-        )
-        group = self._next_group
-        self._next_group += 1
-        send_req = self._fresh_request()
-        recv_req = self._fresh_request()
-        out.append(SymOp(
-            kind=OpKind.ISEND, method="sendrecv", lineno=call.lineno,
-            peer=dest, tag=sendtag, nbytes=nbytes,
-            makes_request=send_req, group=group, opens_group=True,
-        ))
-        out.append(SymOp(
-            kind=OpKind.IRECV, method="sendrecv", lineno=call.lineno,
-            peer=source, tag=recvtag, nbytes=nbytes,
-            makes_request=recv_req, group=group,
-        ))
-        out.append(SymOp(
-            kind=OpKind.WAITALL, method="sendrecv", lineno=call.lineno,
-            requests=(send_req, recv_req), group=group,
-        ))
-        return UNKNOWN
+        def affine(value: object) -> Optional[Affine]:
+            """A field as given, or the int its builder defaulted to."""
+            if value is None or isinstance(value, Affine):
+                return value
+            if isinstance(value, int):
+                return const(value)
+            name = next(n for n, v in values.items() if v is value)
+            raise SymbolicUnsupported(
+                f"{method}() argument {name!r} is not an affine "
+                "rank/size expression",
+                lineno,
+            )
 
-    def _fresh_request(self) -> int:
-        sym_id = self._next_request
+        nbytes = getattr(call.nbytes, "const_value", call.nbytes)
+        if not isinstance(nbytes, int):
+            raise SymbolicUnsupported("nbytes must be a constant", lineno)
+        requests: Tuple[object, ...] = call.requests
+        if kind.completion and not (
+            requests and all(isinstance(r, RequestVal) for r in requests)
+        ):
+            raise SymbolicUnsupported(
+                f"{method}() on "
+                f"{'a request' if kind is OpKind.WAIT else 'requests'} "
+                "outside the symbolic domain",
+                lineno,
+            )
+        op = SymOp(
+            kind=kind, method=method, lineno=lineno,
+            peer=affine(call.peer), tag=affine(call.tag) or const(0),
+            root=affine(call.root), nbytes=nbytes,
+            requests=tuple(
+                r.sym_id for r in requests if isinstance(r, RequestVal)
+            ),
+            group=call.sendrecv_group,
+        )
+        out.append(op)
+        if not kind.nonblocking_p2p:
+            return UNKNOWN
+        op.makes_request = self._next_request
         self._next_request += 1
-        return sym_id
-
-    def _reject_comm_kwarg(self, call: ast.Call, method: str) -> None:
-        for kw in call.keywords:
-            if kw.arg == "comm" and not (
-                isinstance(kw.value, ast.Constant)
-                and kw.value.value is None
-            ):
-                raise SymbolicUnsupported(
-                    f"{method}(comm=...) uses a derived communicator — "
-                    "outside the symbolic fragment",
-                    call.lineno,
-                )
-
-    def _nbytes_of(self, call: ast.Call) -> int:
-        for kw in call.keywords:
-            if kw.arg == "nbytes":
-                value = self._eval(kw.value, {})
-                if isinstance(value, Affine) and value.is_const:
-                    return value.c0
-                raise SymbolicUnsupported(
-                    "nbytes must be a constant", call.lineno
-                )
-        return 8
-
-    def _eval_argument(
-        self, call: ast.Call, index: int, keyword: str, env: Env
-    ) -> Value:
-        node = _argument(call, index, keyword)
-        if node is None:
-            raise SymbolicUnsupported(
-                f"missing required argument {keyword!r}", call.lineno
-            )
-        return self._eval(node, env)
-
-    def _field(
-        self, call: ast.Call, index: int, keyword: str, env: Env,
-        method: str,
-    ) -> Affine:
-        value = self._eval_argument(call, index, keyword, env)
-        if not isinstance(value, Affine):
-            raise SymbolicUnsupported(
-                f"{method}() argument {keyword!r} is not an affine "
-                "rank/size expression",
-                call.lineno,
-            )
-        return value
-
-    def _field_default(
-        self, call: ast.Call, index: int, keyword: str, env: Env,
-        method: str, default: Affine,
-    ) -> Affine:
-        node = _argument(call, index, keyword)
-        if node is None:
-            return default
-        value = self._eval(node, env)
-        if not isinstance(value, Affine):
-            raise SymbolicUnsupported(
-                f"{method}() argument {keyword!r} is not an affine "
-                "rank/size expression",
-                call.lineno,
-            )
-        return value
+        return RequestVal(op.makes_request)
 
     # -- pure expression evaluation -------------------------------------
 
@@ -941,7 +817,7 @@ class _SymbolicInterpreter:
         if isinstance(expr, ast.Attribute):
             if (
                 isinstance(expr.value, ast.Name)
-                and isinstance(env.get(expr.value.id), _Handle)
+                and isinstance(env.get(expr.value.id), Rank)
             ):
                 if expr.attr == "rank":
                     return RANK
@@ -975,6 +851,11 @@ class _SymbolicInterpreter:
             ):
                 return base.items[index.c0]
             return UNKNOWN
+        if isinstance(expr, ast.Call):
+            method = self._handle_method(expr, env)
+            if method is not None:
+                self._build(expr, method, env)  # rejected, yielded or not
+            return UNKNOWN
         if isinstance(expr, ast.IfExp):
             cond = self._eval_cond(expr.test, env)
             if isinstance(cond, bool):
@@ -987,7 +868,7 @@ class _SymbolicInterpreter:
 
     @staticmethod
     def _as_sym(value: Value) -> "sexpr.SymValue":
-        if isinstance(value, _Handle):
+        if isinstance(value, Rank):
             return UNKNOWN
         return value
 
@@ -1210,9 +1091,15 @@ class _Instantiator:
         self._world = _world(size)
         #: Symbolic request id -> the id the recorder gave it.
         self._requests: Dict[int, int] = {}
+        #: Symbolic sendrecv group -> this rank's number for its open
+        #: decomposition (dense, as ``Rank.sendrecv`` counts).
         self._groups: Dict[int, int] = {}
         self._next_group = 0
         self._bindings: Dict[str, int] = {}
+
+    def _at(self, expr: Union[Affine, Cond]) -> int:
+        """``expr`` at this rank, world size and loop iteration."""
+        return expr.evaluate(self.rank, self.size, self._bindings)
 
     def walk(self, terms: Sequence[Term]) -> None:
         for term in terms:
@@ -1221,18 +1108,15 @@ class _Instantiator:
             elif isinstance(term, Repeat):
                 self._repeat(term)
             else:
-                taken = term.cond.evaluate(
-                    self.rank, self.size, self._bindings
-                )
-                self.walk(term.then if taken else term.orelse)
+                self.walk(term.then if self._at(term.cond) else term.orelse)
 
     def _repeat(self, term: Repeat) -> None:
-        count = term.count.evaluate(self.rank, self.size, self._bindings)
+        count = self._at(term.count)
         if term.var is None or term.start is None:
             for _ in range(max(0, count)):
                 self.walk(term.body)
             return
-        start = term.start.evaluate(self.rank, self.size, self._bindings)
+        start = self._at(term.start)
         for iteration in range(max(0, count)):
             self._bindings[term.var] = start + iteration * term.step
             self.walk(term.body)
@@ -1246,7 +1130,7 @@ class _Instantiator:
             )
         peer: Optional[int] = None
         if term.peer is not None:
-            peer = term.peer.evaluate(self.rank, self.size, self._bindings)
+            peer = self._at(term.peer)
             if peer not in (ANY_SOURCE, PROC_NULL) and not (
                 0 <= peer < self.size
             ):
@@ -1266,21 +1150,19 @@ class _Instantiator:
             ) from None
         group: Optional[int] = None
         if term.group is not None:
-            # Dense per-rank numbering, as ``Rank.sendrecv`` counts.
-            if term.opens_group:
+            if term.group not in self._groups:
                 self._groups[term.group] = self._next_group
                 self._next_group += 1
             group = self._groups[term.group]
+            if term.requests:  # its completion closes a decomposition
+                del self._groups[term.group]
         try:
             op = self.recorder.record(Call(
                 kind=term.kind,
                 comm=self._world,
                 peer=peer,
-                tag=term.tag.evaluate(self.rank, self.size, self._bindings),
-                root=(
-                    term.root.evaluate(self.rank, self.size, self._bindings)
-                    if term.root is not None else None
-                ),
+                tag=self._at(term.tag),
+                root=None if term.root is None else self._at(term.root),
                 requests=requests,
                 nbytes=term.nbytes,
                 sendrecv_group=group,

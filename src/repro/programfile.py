@@ -19,6 +19,12 @@ stage reads the same programs out of the file, so all open it here:
 * a runner runs the file's job when there is exactly one and refuses
   otherwise, naming the programs it found (:meth:`ProgramFile.run_set`).
 
+What an MPI call *is* is written once, as the public methods of
+:class:`~repro.runtime.program.Rank`: the method sets below are computed
+from them and :func:`arguments` binds a call site with the builder's
+own signature, so a call ``Rank`` rejects is one ``TypeError`` to every
+static stage.
+
 This module imports nothing of the analysis stack (a cold ``repro blame
 FILE.py`` loads no ``repro.analysis`` module);
 :mod:`repro.analysis.astlint` imports the discovery rule back.
@@ -27,39 +33,66 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import os
 import sys
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Collection, Dict, Iterator, List, Optional
+from typing import Tuple, cast
 
+from repro.mpi.constants import OpKind
+from repro.runtime.program import Rank
 from repro.util.errors import MpiUsageError, ReproError
 
+#: The one table of rank-program calls is ``Rank``: the signature of
+#: each of its public methods (a call's name, arguments and defaults).
+_SIGNATURES = {
+    name: inspect.signature(builder) for name, builder in vars(Rank).items()
+    if inspect.isfunction(builder) and not name.startswith("_")
+}
+#: Builders returning a *sub-generator*: must be driven by yield-from.
+GENERATOR_METHODS = frozenset(
+    name for name in _SIGNATURES
+    if inspect.isgeneratorfunction(getattr(Rank, name))
+)
+
+
+def _built_kinds() -> Dict[str, OpKind]:
+    """The kind of the call each single-call builder builds, asked of
+    the builder with a placeholder for every required argument."""
+    handle: Any = Rank(0, cast(Any, None))
+    kinds: Dict[str, OpKind] = {}
+    for name, signature in _SIGNATURES.items():
+        if name not in GENERATOR_METHODS:
+            required = [
+                p for p in list(signature.parameters.values())[1:]
+                if p.default is p.empty
+            ]
+            kinds[name] = getattr(handle, name)(*[()] * len(required)).kind
+    return kinds
+
+
+_KINDS = _built_kinds()
+#: Builders returning a single call: must be the value of a plain yield.
+PLAIN_METHODS = frozenset(_KINDS)
+#: ... that name a destination, or a source.
 SEND_METHODS = frozenset(
-    {"send", "ssend", "bsend", "rsend", "isend", "issend", "ibsend",
-     "irsend", "send_init"}
+    name for name in _KINDS if "dest" in _SIGNATURES[name].parameters
 )
 RECV_METHODS = frozenset(
-    {"recv", "irecv", "recv_init", "probe", "iprobe"}
+    name for name in _KINDS if "source" in _SIGNATURES[name].parameters
 )
 COLLECTIVE_METHODS = frozenset(
-    {"barrier", "bcast", "reduce", "allreduce", "gather", "scatter",
-     "allgather", "alltoall", "scan", "reduce_scatter", "comm_dup",
-     "comm_split", "comm_create", "comm_free"}
+    name for name, kind in _KINDS.items() if kind.collective
 )
 COMPLETION_METHODS = frozenset(
-    {"wait", "waitall", "waitany", "waitsome", "test", "testall",
-     "testany", "testsome"}
+    name for name, kind in _KINDS.items() if kind.completion
 )
-OTHER_PLAIN_METHODS = frozenset({"start", "request_free", "finalize"})
-#: Builders returning a *sub-generator*: must be driven by yield-from.
-GENERATOR_METHODS = frozenset({"sendrecv", "startall"})
-#: Builders returning a single call: must be the value of a plain yield.
-PLAIN_METHODS = (
-    SEND_METHODS | RECV_METHODS | COLLECTIVE_METHODS
-    | COMPLETION_METHODS | OTHER_PLAIN_METHODS
+OTHER_PLAIN_METHODS = PLAIN_METHODS - (
+    SEND_METHODS | RECV_METHODS | COLLECTIVE_METHODS | COMPLETION_METHODS
 )
-ALL_METHODS = PLAIN_METHODS | GENERATOR_METHODS
+ALL_METHODS = frozenset(_SIGNATURES)
 
 #: One job of a file: its label and one callable per rank.
 ProgramSet = Tuple[str, List[Callable[..., Any]]]
@@ -77,20 +110,45 @@ class RankProgram:
         return self.node.name
 
 
-def handle_call(node: ast.AST, handles: Set[str]) -> Optional[str]:
-    """Method name when ``node`` is ``<handle>.<mpi-method>(...)``."""
-    if not isinstance(node, ast.Call):
+def handle_call(node: ast.AST, handles: Collection[str]) -> Optional[str]:
+    """Name called when ``node`` is ``<handle>.<name>(...)`` — an MPI
+    call if ``Rank`` defines it (``ALL_METHODS``); if not, the call
+    raises and :func:`arguments` says so."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in handles
+    ):
+        return node.func.attr
+    return None
+
+
+def arguments(call: ast.Call, method: str) -> Optional[Dict[str, ast.expr]]:
+    """Parameter name -> argument expression of ``<handle>.<method>(...)``
+    as the builder's own signature binds them; a default — left out, or
+    spelled as the ``None`` it is — is an absent key. None when the call
+    unpacks (``*args``/``**kwargs`` bind where the source does not say).
+    ``TypeError``, with what the signature said, for a call ``Rank``
+    rejects (arity, unknown keyword, unknown method): the program raises
+    there when it runs."""
+    if method not in _SIGNATURES:
+        raise TypeError(f"Rank has no call {method}()")
+    keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg is not None}
+    if len(keywords) < len(call.keywords) or any(
+        isinstance(arg, ast.Starred) for arg in call.args
+    ):
         return None
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr not in ALL_METHODS:
-        return None
-    if not isinstance(func.value, ast.Name):
-        return None
-    if func.value.id not in handles:
-        return None
-    return func.attr
+    signature = _SIGNATURES[method]
+    try:
+        bound = signature.bind(None, *call.args, **keywords)
+    except TypeError as exc:
+        raise TypeError(f"Rank.{method}(): {exc}") from None
+    return {
+        name: arg for name, arg in list(bound.arguments.items())[1:]
+        if signature.parameters[name].default is not None
+        or not (isinstance(arg, ast.Constant) and arg.value is None)
+    }
 
 
 def scoped_walk(fn: ast.FunctionDef) -> Iterator[ast.AST]:
@@ -120,7 +178,7 @@ def program_handle(fn: ast.FunctionDef) -> Optional[str]:
         if (
             isinstance(node, (ast.Yield, ast.YieldFrom))
             and node.value is not None
-            and handle_call(node.value, {handle})
+            and handle_call(node.value, {handle}) in ALL_METHODS
         ):
             return handle
     return None

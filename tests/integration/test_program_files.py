@@ -9,7 +9,9 @@ or ``repro.api._run_programs`` (``blame``, ``watch``, ``Session.blame``,
 the ``analyze`` and ``blame`` ops of ``repro serve``), as lists of
 function names, one per rank; for ``classify`` and ``prove``, which run
 nothing, the program names they print. ``benchmarks/diff cli`` runs
-the same files through the same commands as a differential.
+the same files through the same commands as a differential. The
+``bad_call_*`` fixtures hold calls ``Rank`` rejects and have a table of
+their own: no command reads such a call as one that would have run.
 """
 import ast
 import re
@@ -255,6 +257,68 @@ def test_session_blame_and_serve_refuse_what_is_no_one_job(name, seen):
     else:
         with pytest.raises(ReproError):
             execute_job(session, job)
+
+
+# ----------------------------------------------------------------------
+# A call ``Rank`` rejects: one outcome under every command
+# ----------------------------------------------------------------------
+
+#: fixture -> its programs and, per bad call site, its line and what
+#: ``Rank``'s signature says about it.
+BAD_CALLS = {
+    "bad_call_arity": (("meet",), (
+        (11, "Rank.barrier(): too many positional arguments"),
+    )),
+    "bad_call_keyword": (("peek", "typo"), (
+        (9, "Rank.probe(): got an unexpected keyword argument 'nbytes'"),
+        (18, "Rank.send(): got an unexpected keyword argument 'tga'"),
+    )),
+    "bad_call_method": (("meet",), ((6, "Rank has no call sendd()"),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_a_call_rank_rejects_is_one_outcome_under_every_command(
+    name, capsys
+):
+    """The program raises at the call, so the provers certify and
+    refute nothing, lint reports the site once as an error, and a
+    runner says the program raised: no stage reads the call as some
+    other call that would have run."""
+    programs, sites = BAD_CALLS[name]
+    path = _path(name)
+
+    assert main(["lint", path]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[ERROR] bad-call") == out.count("bad-call: ")
+    assert out.count("[ERROR] bad-call") == len(sites)
+    for lineno, said in sites:
+        assert f"({path}:{lineno}): {said}" in out
+    assert "proved-all-p" not in out and "prove-refuted" not in out
+
+    for command, code in (("classify", 1), ("prove", 2)):
+        assert main([command, path]) == code
+        out = capsys.readouterr().out
+        assert _printed_names(out) == programs
+        assert "PROVED" not in out and "REFUTED" not in out
+        for lineno, said in sites:
+            assert f"UNDECIDABLE — {said}" in out
+            assert f"the program raises at {path}:{lineno}" in out
+
+    assert main(["verify", path, "--prove"]) == 2
+    out = capsys.readouterr().out
+    assert "PROVED" not in out and "REFUTED" not in out
+    assert out.count("prove ") == len(programs)
+
+    for command in ("blame", "watch"):
+        assert main([command, path, "-n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if len(programs) == 1:
+            assert "rank program raised" in captured.err
+            assert f"({path}:{sites[0][0]})" in captured.err
+        else:
+            assert "2 rank programs found (peek, typo)" in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -208,3 +208,92 @@ def test_verify_prove_on_a_provable_module_stays_clean(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PROVED-ALL-P" in out
+
+
+# ----------------------------------------------------------------------
+# A call Rank rejects is never certified
+# ----------------------------------------------------------------------
+
+#: call -> what ``Rank``'s signature says about it.
+BAD_CALLS = {
+    "rank.barrier(3)": "Rank.barrier(): too many positional arguments",
+    "rank.send(1, 0, 64)": "Rank.send(): too many positional arguments",
+    "rank.probe(0, nbytes=4)":
+        "Rank.probe(): got an unexpected keyword argument 'nbytes'",
+    "rank.send(dest=1, tga=5)":
+        "Rank.send(): got an unexpected keyword argument 'tga'",
+    "rank.sendd(1)": "Rank has no call sendd()",
+}
+
+
+def _bad_call_module(tmp_path, call):
+    path = tmp_path / "bad.py"
+    path.write_text(
+        "def prog(rank):\n"
+        "    yield rank.barrier()\n"
+        f"    yield {call}\n"
+        "    yield rank.finalize()\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("call", sorted(BAD_CALLS))
+@pytest.mark.parametrize("argv,exit_code", [
+    (["prove"], 2), (["classify", "--prove"], 1), (["verify", "--prove"], 2),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
+def test_a_call_rank_rejects_is_undecidable(
+    argv, exit_code, call, tmp_path, capsys
+):
+    """The program raises at that call, so there is nothing to certify
+    and nothing to refute: every prover entry names the call, its line
+    and what ``Rank`` said."""
+    path = _bad_call_module(tmp_path, call)
+    code = main([argv[0], str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert code == exit_code, out
+    assert "PROVED-ALL-P" not in out and "REFUTED" not in out
+    assert f"UNDECIDABLE — {BAD_CALLS[call]}" in out
+    assert f"the program raises at {path}:3" in out
+
+
+@pytest.mark.parametrize("call", sorted(BAD_CALLS))
+def test_lint_reports_a_call_rank_rejects_once_as_an_error(
+    call, tmp_path, capsys
+):
+    path = _bad_call_module(tmp_path, call)
+    code = main(["lint", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert out.count("[ERROR] bad-call") == out.count("bad-call") == 1
+    assert f"({path}:3): {BAD_CALLS[call]}" in out
+    assert "proved-all-p" not in out and "prove-refuted" not in out
+
+
+def test_an_unyielded_call_rank_rejects_is_undecidable_too(tmp_path, capsys):
+    path = tmp_path / "dropped.py"
+    path.write_text(
+        "def prog(rank):\n"
+        "    rank.barrier(3)\n"
+        "    yield rank.finalize()\n"
+    )
+    assert main(["prove", str(path)]) == 2
+    assert "Rank.barrier(): too many positional" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("call,said", [
+    ("rank.waitall(3)", "Rank.waitall(): 'Affine' object is not iterable"),
+    ("rank.waitany(rank.rank)", "Rank.waitany(): 'Affine' object is not"),
+    ("rank.send(None)", "send() argument 'dest' is not an affine"),
+    ("rank.bcast(None)", "bcast() argument 'root' is not an affine"),
+    ("rank.send(1, tag=None)", "send() argument 'tag' is not an affine"),
+])
+def test_a_call_the_builder_cannot_take_is_undecidable_not_a_crash(
+    call, said, tmp_path, capsys
+):
+    """The signature binds these; the builder's body, or the domain,
+    does not take the value. Still one outcome, never a traceback."""
+    path = _bad_call_module(tmp_path, call)
+    assert main(["prove", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert f"UNDECIDABLE — {said}" in out
+    assert "PROVED-ALL-P" not in out and "REFUTED" not in out

@@ -197,6 +197,124 @@ class TestOneReader:
         assert callable(repro.analysis.symbolic.prove_path)
 
 
+class TestOneCallTable:
+    """What an MPI call is — name, arguments, defaults, kind — is
+    written once, as the public methods of ``Rank``."""
+
+    #: The six method sets as they were written out at e19caf2.
+    SETS = {
+        "SEND_METHODS": {
+            "send", "ssend", "bsend", "rsend", "isend", "issend", "ibsend",
+            "irsend", "send_init",
+        },
+        "RECV_METHODS": {"recv", "irecv", "recv_init", "probe", "iprobe"},
+        "COLLECTIVE_METHODS": {
+            "barrier", "bcast", "reduce", "allreduce", "gather", "scatter",
+            "allgather", "alltoall", "scan", "reduce_scatter", "comm_dup",
+            "comm_split", "comm_create", "comm_free",
+        },
+        "COMPLETION_METHODS": {
+            "wait", "waitall", "waitany", "waitsome", "test", "testall",
+            "testany", "testsome",
+        },
+        "OTHER_PLAIN_METHODS": {"start", "request_free", "finalize"},
+        "GENERATOR_METHODS": {"sendrecv", "startall"},
+    }
+
+    def test_the_method_sets_are_ranks_public_builders(self):
+        import inspect
+
+        from repro import programfile
+        from repro.runtime.program import Rank
+
+        public = {
+            name for name, member in vars(Rank).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        }
+        assert programfile.ALL_METHODS == public
+        for name, expected in self.SETS.items():
+            assert getattr(programfile, name) == expected, name
+        assert sum(map(len, self.SETS.values())) == len(public)
+        assert programfile.PLAIN_METHODS == (
+            public - self.SETS["GENERATOR_METHODS"]
+        )
+
+    def test_no_table_of_builder_names_outside_rank(self):
+        """No set, dict, tuple or list literal under ``src/repro`` holds
+        three or more builder names (the generator of random programs,
+        which writes calls rather than reads them, aside)."""
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.programfile import ALL_METHODS
+
+        def names(node):
+            parts = []
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+                parts = node.elts
+            elif isinstance(node, ast.Dict):
+                parts = [*node.keys, *node.values]
+            return [
+                part.value for part in parts
+                if isinstance(part, ast.Constant)
+                and isinstance(part.value, str) and part.value in ALL_METHODS
+            ]
+
+        root = Path(repro.__file__).parent
+        exempt = {"runtime/program.py", "workloads/randomgen.py"}
+        tables = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            if str(path.relative_to(root)) not in exempt
+            for node in ast.walk(ast.parse(path.read_text()))
+            if len(names(node)) >= 3
+        ]
+        assert tables == []
+
+    def test_the_argument_rule_is_defined_once(self):
+        """``astlint`` and ``symexec`` bind a call site with
+        ``programfile.arguments`` and nothing under ``src/repro`` pairs
+        a position with a parameter name (``0, "dest"``) by hand."""
+        import ast
+        import inspect
+        from pathlib import Path
+
+        import repro
+        import repro.analysis.astlint as astlint
+        import repro.analysis.symbolic.symexec as symexec
+        from repro import programfile
+        from repro.runtime.program import Rank
+
+        assert astlint.arguments is symexec.arguments is programfile.arguments
+        for owner in (astlint, astlint._Linter, symexec,
+                      symexec._SymbolicInterpreter):
+            assert not hasattr(owner, "_argument")
+
+        parameters = {
+            parameter
+            for name in programfile.ALL_METHODS
+            for parameter in inspect.signature(getattr(Rank, name)).parameters
+        }
+
+        def positions(node):
+            items = getattr(node, "args", None) or getattr(node, "elts", [])
+            return [
+                (a.value, b.value) for a, b in zip(items, items[1:])
+                if isinstance(a, ast.Constant) and type(a.value) is int
+                and isinstance(b, ast.Constant) and b.value in parameters
+            ]
+
+        root = Path(repro.__file__).parent
+        by_hand = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Call, ast.Tuple)) and positions(node)
+        ]
+        assert by_hand == []
+
+
 class TestParseFormat:
     @pytest.mark.parametrize(
         "tag,expected",

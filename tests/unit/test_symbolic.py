@@ -8,6 +8,7 @@ from repro.analysis.symbolic import (
     Fragment,
     classify_source,
     instantiate,
+    render_terms,
     summarize_source,
 )
 from repro.analysis.symbolic import sexpr
@@ -201,6 +202,122 @@ def test_recursive_helper_is_reported_unsupported():
     )
     assert not summary.supported
     assert "recursive" in summary.reason
+
+
+# ----------------------------------------------------------------------
+# symexec: a call is what ``Rank`` builds for it
+# ----------------------------------------------------------------------
+
+def _rendered(body):
+    (summary,) = summarize_source(f"def prog(rank):\n    {body}\n", "<test>")
+    assert summary.supported, summary.reason
+    return render_terms(summary.terms)
+
+
+@pytest.mark.parametrize("positional,keywords", [
+    ("yield from rank.sendrecv(1, 0, 1, 2)",
+     "yield from rank.sendrecv(recvtag=2, sendtag=1, source=0, dest=1)"),
+    ("yield rank.send(rank.size - 1, 5)",
+     "yield rank.send(tag=5, dest=rank.size - 1)"),
+    ("yield rank.recv(0, 3)", "yield rank.recv(tag=3, source=0)"),
+    ("yield rank.bcast(2)", "yield rank.bcast(nbytes=8, comm=None, root=2)"),
+])
+def test_keywords_in_any_order_summarize_to_the_positional_terms(
+    positional, keywords
+):
+    assert _rendered(positional) == _rendered(keywords)
+
+
+def test_a_term_carries_what_the_builder_defaults_to():
+    source = (
+        "def prog(rank):\n"
+        "    yield rank.probe(0)\n"
+        "    req = yield rank.irecv(0, nbytes=32)\n"
+        "    yield rank.wait(req)\n"
+        "    yield rank.barrier()\n"
+        "    yield rank.allreduce()\n"
+    )
+    (summary,) = summarize_source(source, "<test>")
+    probe, irecv, wait, barrier, allreduce = summary.terms
+    assert [t.nbytes for t in summary.terms] == [0, 32, 0, 0, 8]
+    assert probe.tag == irecv.tag == sexpr.const(-1)  # ANY_TAG
+    assert wait.requests == (irecv.makes_request,)
+    assert barrier.kind.collective and barrier.peer is barrier.root is None
+
+
+@pytest.mark.parametrize("body,said", [
+    ("yield rank.barrier(3)",
+     "Rank.barrier(): too many positional arguments"),
+    ("yield rank.send()", "Rank.send(): missing a required argument: 'dest'"),
+    ("yield rank.send(1, dest=2)",
+     "Rank.send(): multiple values for argument 'dest'"),
+    ("yield rank.recv(sorce=0)",
+     "Rank.recv(): got an unexpected keyword argument 'sorce'"),
+    ("yield from rank.sendrecv(1)",
+     "Rank.sendrecv(): missing a required argument: 'source'"),
+    ("yield rank.sendd(1)", "Rank has no call sendd()"),
+    ("x = rank.wait()", "Rank.wait(): missing a required argument: 'request'"),
+    # Accepted by the signature, rejected by the builder's body.
+    ("yield rank.waitall(3)", "Rank.waitall(): 'Affine' object is not iterable"),
+    ("req = yield rank.isend(1); yield rank.waitall(req)",
+     "Rank.waitall(): 'RequestVal' object is not iterable"),
+    ("req = yield rank.isend(1); yield from rank.startall(req)",
+     "Rank.startall(): 'RequestVal' object is not iterable"),
+    ("yield rank.comm_create(rank.size)",
+     "Rank.comm_create(): 'Affine' object is not iterable"),
+])
+def test_a_call_rank_rejects_is_unsupported_with_what_rank_said(body, said):
+    source = f"def prog(rank):\n    yield rank.barrier()\n    {body}\n"
+    (summary,) = summarize_source(source, "bad.py")
+    assert not summary.supported
+    assert summary.reason == f"{said} — the program raises at bad.py:3"
+    assert summary.reason_line == 3
+    assert summary.reason_check == "symbolic-unsupported"
+
+
+@pytest.mark.parametrize("body,why", [
+    ("yield rank.iprobe()", "iprobe() is outside the symbolic fragment"),
+    ("yield rank.waitany([1])", "waitany() is outside the symbolic fragment"),
+    ("yield rank.comm_free(c)", "comm_free() is outside the symbolic"),
+    ("yield from rank.startall(reqs)",
+     "startall() is outside the symbolic fragment"),
+    ("yield rank.barrier(comm=team)", "barrier(comm=...) uses a derived"),
+    ("yield from rank.sendrecv(1, 0, comm=team)",
+     "sendrecv(comm=...) uses a derived"),
+    ("yield rank.send(peers[0])",
+     "send() argument 'dest' is not an affine rank/size expression"),
+    ("yield from rank.sendrecv(1, 0, recvtag=t())",
+     "sendrecv() argument 'recvtag' is not an affine"),
+    ("yield rank.send(None)", "send() argument 'dest' is not an affine"),
+    ("yield rank.send(1, tag=None)", "send() argument 'tag' is not an affine"),
+    ("yield rank.bcast(None)", "bcast() argument 'root' is not an affine"),
+    ("yield rank.send(1, nbytes=rank.rank)", "nbytes must be a constant"),
+    ("yield rank.wait(7)", "wait() on a request outside the symbolic"),
+    ("yield rank.waitall(reqs)", "waitall() on requests outside the"),
+    ("yield rank.waitall([])", "waitall() on requests outside the"),
+    ("yield rank.send(*args)", "send() unpacks its arguments"),
+    ("yield rank.sendrecv(1, 0)", "cannot extract sendrecv() symbolically"),
+    ("yield from rank.send(1)", "yield from send() is outside the symbolic"),
+])
+def test_the_fragment_boundary_is_stated_on_what_was_built(body, why):
+    source = f"def prog(rank, reqs=None):\n    {body}\n"
+    (summary,) = summarize_source(source, "<test>")
+    assert not summary.supported
+    assert summary.reason.startswith(why), summary.reason
+
+
+def test_sendrecv_groups_number_per_decomposition_through_a_loop():
+    source = (
+        "def prog(rank):\n"
+        "    for i in range(rank.size):\n"
+        "        yield from rank.sendrecv(1 - rank.rank, 1 - rank.rank)\n"
+        "    yield from rank.sendrecv(1 - rank.rank, 1 - rank.rank)\n"
+    )
+    (summary,) = summarize_source(source, "<test>")
+    assert isinstance(summary.terms[0], Repeat)
+    ops = instantiate(summary.terms, 0, 2)
+    assert [op.sendrecv_group for op in ops] == [0] * 3 + [1] * 3 + [2] * 3
+    assert [op.nbytes for op in ops] == [8, 8, 0] * 3
 
 
 # ----------------------------------------------------------------------
