@@ -5,7 +5,8 @@ matching, wait-state tracking, the Figure 8 freeze handshake — and its
 nodes only talk to each other and to their tree parent. That makes the
 layer the natural unit of parallelism: this backend partitions the
 first-layer :class:`~repro.core.distributed.FirstLayerNode`s across
-``multiprocessing`` workers (one shard = one or more nodes, cut along
+supervised worker processes (:class:`repro.backend.worker.Worker`, one
+pipe each; one shard = one or more nodes, cut along
 :mod:`repro.backend.plan`'s placement-aligned contiguous groups) while
 the root and interior nodes — WFG construction, collective matching,
 report generation — stay centralized in the coordinator process: the
@@ -26,7 +27,9 @@ Execution is a bulk-synchronous round loop:
   a virtual-time watermark);
 * batches are built and routed in send order, so the per-(sender,
   receiver) FIFO guarantee the Section 5 protocol needs survives the
-  process boundary end to end.
+  process boundary end to end; and the coordinator reads the workers'
+  pipes in shard-id order, so what it does with them (its latency
+  draws, hence ``tbon.sim_seconds``) does not depend on scheduling.
 
 Correctness leans on the protocol's confluence (the terminal
 distributed state is independent of message interleaving given FIFO
@@ -51,16 +54,19 @@ the ``repro-profile/1`` document on ``backend.last_profile`` for
 """
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
+from repro.backend import worker as worker_mod
 from repro.backend.base import DEFAULT_SHARDS, AnalysisBackend
 from repro.backend.plan import describe_plan, plan_shards, shard_of_node
+from repro.backend.worker import Worker, WorkerDied, WorkerTimeout
 from repro.core.detector import (
     DistributedOutcome,
     NodeReading,
@@ -104,13 +110,8 @@ from repro.util.errors import ProtocolError, ReproError
 #: Outbox size at which a worker flushes mid-round.
 DEFAULT_FLUSH_LIMIT = 64
 
-#: Seconds to wait on a queue before declaring a worker dead. Rounds
-#: are milliseconds of work; this only fires when a worker crashed
-#: hard enough to skip its "error" reply.
-_QUEUE_TIMEOUT = 120.0
-
 #: BSP rounds a worker batches into one ``("obs", ...)`` stream frame.
-#: Each frame costs both sides a queue transfer inside their timed
+#: Each frame costs both sides a pipe transfer inside their timed
 #: busy windows; batching keeps the distributed tracer inside its <5%
 #: overhead bound while the final flush (before the finish payload)
 #: bounds the loss on crash to the last few rounds.
@@ -121,16 +122,6 @@ _OBS_FLUSH_EVERY = 16
 #: bare or ``(tag, payload, context)`` when distributed tracing rides
 #: along.
 _WireEntry = Tuple[int, int, tuple, int]
-
-
-def _mp_context():
-    """Fork when the platform has it (cheap, shares the trace pages);
-    the worker protocol is spawn-compatible — specs and wire entries
-    are plain picklable data — so spawn-only platforms work too."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return multiprocessing.get_context("spawn")
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +247,16 @@ def _inject_app_events(spec: _ShardSpec, net: ShardNetwork) -> None:
             net.send(rank, node_id, RankDoneMsg(rank), RankDoneMsg.wire_size)
 
 
-def _flush_obs(spec: _ShardSpec, observer, prof, res_q) -> None:
+def _flush_obs(spec: _ShardSpec, observer, prof, conn: Connection) -> None:
     """Stream the pending observability frame to the coordinator.
 
     Everything on the frame is kept in its cheapest-to-pickle form
-    (packed event columns, flat profiler rows): the worker's queue
-    feeder thread and the coordinator's reply loop both sit inside the
-    busy-time accounting the <5% tracing bound is scored on.
+    (packed event columns, flat profiler rows): the worker's send and
+    the coordinator's reply loop both sit inside the busy-time
+    accounting the <5% tracing bound is scored on.
     """
     rows = prof.take_rows()
-    res_q.put(
+    conn.send(
         ("obs", spec.shard_id, {
             "events": events_to_wire(observer.tracer.drain()),
             "rows": rows,
@@ -275,8 +266,10 @@ def _flush_obs(spec: _ShardSpec, observer, prof, res_q) -> None:
     )
 
 
-def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
-    """Worker entry point: host ``spec.node_ids`` until told to stop.
+def _shard_worker(conn: Connection, spec: _ShardSpec) -> None:
+    """Worker entry point (a :class:`~repro.backend.worker.Worker`
+    target): host ``spec.node_ids`` until the finish payload is sent or
+    the coordinator closes the pipe.
 
     Commands: ``("run", batch)`` — deliver, pump to quiescence, flush,
     reply ``("done", shard_id, stats)`` (partial flushes emit
@@ -287,7 +280,7 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
     traffic, and that receive/unpickle cost lands in the busy-time
     accounting the <5% tracing bound is scored on); ``("flight",
     ranks)`` — reply the flight tails; ``("finish",)`` — reply the
-    final state payload; ``("stop",)`` — exit.
+    final state payload and exit.
     """
     try:
         observer = make_worker_observer(spec.obs)
@@ -313,7 +306,7 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
         )
         net = ShardNetwork(
             local,
-            emit=lambda batch: res_q.put(("msgs", spec.shard_id, batch)),
+            emit=lambda batch: conn.send(("msgs", spec.shard_id, batch)),
             observer=observer,
             flush_limit=spec.flush_limit,
             prof=prof,
@@ -326,7 +319,7 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
         busy = time.process_time() - t0
         round_no = 0
         while True:
-            cmd = cmd_q.get()
+            cmd = conn.recv()
             kind = cmd[0]
             if kind == "run":
                 t0 = time.process_time()
@@ -360,26 +353,27 @@ def _shard_worker(spec: _ShardSpec, cmd_q, res_q) -> None:
                     prof.end_round()
                     busy += time.process_time() - t0
                     if round_no % _OBS_FLUSH_EVERY == 0:
-                        _flush_obs(spec, observer, prof, res_q)
-                res_q.put(("done", spec.shard_id))
+                        _flush_obs(spec, observer, prof, conn)
+                conn.send(("done", spec.shard_id))
             elif kind == "flight":
-                res_q.put(("flight", spec.shard_id, flight.snapshot(cmd[1])))
+                conn.send(("flight", spec.shard_id, flight.snapshot(cmd[1])))
             elif kind == "finish":
                 if prof is not None:
                     # Drains the tracer: no event outlives this frame.
-                    _flush_obs(spec, observer, prof, res_q)
-                res_q.put(
+                    _flush_obs(spec, observer, prof, conn)
+                conn.send(
                     ("finish", spec.shard_id, _finish_payload(
                         spec, local, net, observer, busy
                     ))
                 )
-            elif kind == "stop":
                 return
             else:
                 raise ProtocolError(f"unknown shard command {kind!r}")
+    except (EOFError, OSError):
+        raise  # the coordinator is gone: nobody to tell
     except Exception as exc:
         # A tool error travels as itself; anything else may not pickle.
-        res_q.put((
+        conn.send((
             "error",
             spec.shard_id,
             exc if isinstance(exc, ReproError) else None,
@@ -451,7 +445,7 @@ class _FlightGather:
     their worker-local rings, the root merely embeds tails into
     reports. Snapshotting does synchronous per-shard round trips, which
     is safe because the root builds reports between rounds, when every
-    worker is idle-blocked on its command queue.
+    worker is idle-blocked on its pipe.
     """
 
     enabled = True
@@ -528,15 +522,11 @@ class _ShardedRun(ToolTree):
         self.relayed = 0
         self.cross_shard = 0
         self.rounds = 0
-        self._cmd_qs: List[Any] = []
-        self._res_q: Any = None
-        self._procs: List[Any] = []
+        self._workers: List[Worker] = []
 
     # -- worker lifecycle ------------------------------------------------
 
     def _start_workers(self) -> None:
-        ctx = _mp_context()
-        self._res_q = ctx.Queue()
         for sid, node_ids in enumerate(self.plan):
             spec = _ShardSpec(
                 shard_id=sid,
@@ -550,58 +540,43 @@ class _ShardedRun(ToolTree):
                     self.flight.capacity if self.flight.enabled else 0
                 ),
             )
-            cmd_q = ctx.Queue()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(spec, cmd_q, self._res_q),
-                daemon=True,
+            self._workers.append(
+                Worker(_shard_worker, spec, name=f"shard worker {sid}")
             )
-            proc.start()
-            self._cmd_qs.append(cmd_q)
-            self._procs.append(proc)
 
-    def _stop_workers(self) -> None:
-        for cmd_q in self._cmd_qs:
-            try:
-                cmd_q.put(("stop",))
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=10)
+    def _replies(self, kind: str, shards: Iterable[int]) -> Iterator[tuple]:
+        """One reply of ``kind`` from each of ``shards``, in that order.
 
-    def _replies(self, kind: str, count: int) -> Iterator[tuple]:
-        """The next ``count`` worker replies of ``kind``.
-
-        Message batches and obs frames that arrive in between are
-        routed and absorbed; a worker's error reply is raised here —
-        a tool error as itself, anything else as a ``ProtocolError``
-        carrying the worker's traceback.
+        Each worker's pipe is read until its reply arrives; the message
+        batches and obs frames it sent first are routed and absorbed in
+        the order it sent them, so what the coordinator does follows
+        shard order, never scheduling. A worker's error reply is raised
+        here — a tool error as itself, anything else as a
+        ``ProtocolError`` carrying the worker's traceback; a dead or
+        hung worker is a ``WorkerDied``/``WorkerTimeout``.
         """
-        while count:
-            try:
-                reply = self._res_q.get(timeout=_QUEUE_TIMEOUT)
-            except queue_mod.Empty:  # pragma: no cover - dead worker
-                raise ProtocolError("shard worker unresponsive") from None
-            if reply[0] == kind:
-                count -= 1
-                yield reply
-            elif reply[0] == "msgs":
-                self._route(reply[2])
-            elif reply[0] == "obs":
-                self._absorb_obs(reply[1], reply[2])
-            elif reply[0] == "error":
-                _, sid, error, worker_traceback = reply
-                failed = ProtocolError(
-                    f"shard {sid} failed:\n{worker_traceback}"
-                )
-                if error is None:
-                    raise failed
-                raise error from failed
-            else:
-                raise ProtocolError(f"unexpected shard reply {reply[0]!r}")
+        for sid in shards:
+            while True:
+                reply = self._workers[sid].recv(worker_mod.DEADLINE_S)
+                if reply[0] == kind:
+                    yield reply
+                    break
+                if reply[0] == "msgs":
+                    self._route(reply[2])
+                elif reply[0] == "obs":
+                    self._absorb_obs(reply[1], reply[2])
+                elif reply[0] == "error":
+                    _, _sid, error, worker_traceback = reply
+                    failed = ProtocolError(
+                        f"shard {sid} failed:\n{worker_traceback}"
+                    )
+                    if error is None:
+                        raise failed
+                    raise error from failed
+                else:
+                    raise ProtocolError(
+                        f"unexpected shard reply {reply[0]!r}"
+                    )
 
     # -- the BSP round loop ----------------------------------------------
 
@@ -612,7 +587,7 @@ class _ShardedRun(ToolTree):
         if merger is not None:
             span_start = self.observer.tracer.now_us()
             self._round_route_s = 0.0
-        for sid, cmd_q in enumerate(self._cmd_qs):
+        for sid, worker in enumerate(self._workers):
             batch = list(self.pending[sid])
             self.pending[sid].clear()
             if merger is not None:
@@ -622,8 +597,8 @@ class _ShardedRun(ToolTree):
                 # microseconds apart and the median over rounds eats
                 # the residual.
                 merger.note_round_sent(sid, self.rounds, span_start)
-            cmd_q.put(("run", batch))
-        for _done in self._replies("done", self.num_shards):
+            worker.send(("run", batch))
+        for _done in self._replies("done", range(self.num_shards)):
             pass
         if merger is not None:
             end = self.observer.tracer.now_us()
@@ -726,9 +701,9 @@ class _ShardedRun(ToolTree):
             node = self.topology.host_of_rank(rank)
             by_shard.setdefault(self.shard_of[node], []).append(rank)
         for sid, shard_ranks in by_shard.items():
-            self._cmd_qs[sid].put(("flight", tuple(shard_ranks)))
+            self._workers[sid].send(("flight", tuple(shard_ranks)))
         tails: Dict[int, List[dict]] = {}
-        for _kind, _sid, shard_tails in self._replies("flight", len(by_shard)):
+        for _kind, _sid, shard_tails in self._replies("flight", by_shard):
             tails.update(shard_tails)
         return {rank: tails.get(rank, []) for rank in ranks}
 
@@ -737,24 +712,31 @@ class _ShardedRun(ToolTree):
     def execute(self) -> DistributedOutcome:
         wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
-        self._start_workers()
+        grace = 0.0  # after an error, whatever still runs is killed
         try:
+            self._start_workers()
             # Kick-off round: batches are empty, but the first "run"
             # makes every worker pump the traces it injected at start.
             self._exchange_round()
             self.drive(self._settle, detect_at_end=self.detect_at_end)
             payloads = self._collect_payloads()
+            grace = 10.0  # they return after their finish payload
+        except (WorkerDied, WorkerTimeout) as exc:
+            raise ProtocolError(str(exc)) from None
         finally:
-            self._stop_workers()
+            for worker in self._workers:
+                worker.stop(grace)
         return self._assemble(payloads, wall0)
 
     def _collect_payloads(self) -> Dict[int, Dict[str, Any]]:
-        for cmd_q in self._cmd_qs:
-            cmd_q.put(("finish",))
+        for worker in self._workers:
+            worker.send(("finish",))
         # Each worker's final obs frame precedes its finish payload.
         return {
             sid: payload
-            for _kind, sid, payload in self._replies("finish", self.num_shards)
+            for _kind, sid, payload in self._replies(
+                "finish", range(self.num_shards)
+            )
         }
 
     def _assemble(

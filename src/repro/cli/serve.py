@@ -182,7 +182,7 @@ def _register_serve(serve: argparse.ArgumentParser) -> None:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="analysis worker threads (default 2)",
+        help="analysis worker processes (default 2)",
     )
     serve.add_argument(
         "--queue-limit", type=int, default=32,

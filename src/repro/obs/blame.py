@@ -89,7 +89,11 @@ def load_programs(path: str, default_ranks: int) -> List[Any]:
         cause = exc.__cause__
         if cause is None:  # no job, or several: the reader's own words
             raise TraceError(str(exc)) from exc
-        detail = cause if isinstance(cause, Exception) else exc.reason
+        # str() of a bare MemoryError is empty: name it then.
+        detail = (
+            str(cause) or repr(cause) if isinstance(cause, Exception)
+            else exc.reason
+        )
         raise TraceError(f"cannot import {path}: {detail}") from exc
 
 

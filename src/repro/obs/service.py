@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.obs.exporters import openmetrics_text
 from repro.obs.observer import Observer, make_observer
@@ -71,6 +71,17 @@ class ServiceTelemetry:
 
     def set_connections(self, count: int) -> None:
         self.metrics.set_gauge("serve.connections", count)
+
+    def set_worker_stats(self, stats: Sequence[Mapping[str, Any]]) -> None:
+        """What the worker processes cost, which ``/proc/<daemon>`` no
+        longer shows: per slot CPU seconds and peak RSS, and how many
+        children were replaced after a crash, a kill or the deadline."""
+        self.metrics.set_gauge(
+            "serve.worker.restarts", sum(s["restarts"] for s in stats)
+        )
+        for slot, stat in enumerate(stats):
+            for key in ("cpu_seconds", "peak_rss_mb"):
+                self.metrics.set_gauge(f"serve.worker.{slot}.{key}", stat[key])
 
     # -- exposition ------------------------------------------------------
 

@@ -5,9 +5,9 @@ A :class:`Job` moves through ``queued -> running -> done`` (or
 a built-in workload, an uploaded rank-program source, or an uploaded
 matched-trace document — and which analysis to run (``analyze``,
 ``verify``, or ``blame``). :func:`execute_job` performs the spec on a
-worker's long-lived :class:`~repro.api.Session`; the session is reset
-by ``Session.record``/``reset`` between jobs so nothing leaks across
-tenants (pinned by ``tests/unit/test_session_reuse.py``).
+worker process's long-lived :class:`~repro.api.Session`; the session is
+reset by ``Session.record``/``reset`` between jobs so nothing leaks
+across tenants (pinned by ``tests/unit/test_session_reuse.py``).
 """
 from __future__ import annotations
 
@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 # Everything a job runs loads with this module, when the daemon starts
-# and before it listens: ``Session.record``/``.verify``/``.blame`` import
-# the runtime and their analyses on first use, a worker's session its
-# live monitor, and that import would otherwise sit inside the first
-# job of each kind, on a worker thread.
+# and before it forks its workers: ``Session.record``/``.verify``/
+# ``.blame`` import the runtime and their analyses on first use, a
+# worker's session its live monitor, and that import would otherwise sit
+# inside the first job of each kind, once per worker process.
 import repro.analysis  # noqa: F401
 import repro.obs.live  # noqa: F401
 from repro.mpi.serialize import matched_trace_from_dict
@@ -117,14 +117,15 @@ class Job:
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     #: Live-window callbacks registered by ``watch`` subscriptions;
-    #: invoked from the worker thread with each ``repro-live/1`` doc.
+    #: invoked from the slot's thread with each ``repro-live/1`` doc.
     watchers: List[Callable[[Dict[str, Any]], None]] = field(
         default_factory=list
     )
     #: Set when the job reaches a terminal state.
     done: threading.Event = field(default_factory=threading.Event)
-    #: Guards state transitions: the queued -> running step (worker
-    #: thread) races the queued -> cancelled step (event loop).
+    #: Guards state transitions: the slot's queued -> running and
+    #: running -> done/failed steps race the event loop's cancel of a
+    #: queued or running job and the deadline's kill.
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def release_payload(self) -> None:
@@ -241,11 +242,14 @@ def execute_job(session: Any, job: Job) -> Dict[str, Any]:
     state never reaches this job's artifacts or watchers, and the
     live feed is finalized afterwards so every ``watch`` subscription
     receives at least the terminal health window. The caller owns
-    state transitions and error recording.
+    state transitions and error recording. A program that calls
+    ``sys.exit()`` ends its job, not the worker every later job needs.
     """
     session.reset()
     try:
         return _execute_spec(session, job.spec)
+    except SystemExit as exc:
+        raise JobError(f"program exited (exit code {exc.code!r})") from None
     finally:
         session.finalize_live()
 

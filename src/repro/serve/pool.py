@@ -1,25 +1,44 @@
 """The bounded worker pool behind the analysis service.
 
-``workers`` threads each own one long-lived
-:class:`~repro.api.Session` (built from the service's
-:class:`~repro.api.AnalysisConfig`, with live telemetry enabled so
-``watch`` subscriptions see ``repro-live/1`` windows) and pull jobs
-from one bounded queue. A full queue rejects the submit immediately —
-:class:`QueueFull` carries the ``retry_after`` hint the protocol turns
-into a retryable ``queue-full`` error — rather than stalling the
-event loop. :meth:`WorkerPool.drain` implements the SIGTERM contract:
-no new work, queued jobs finish, workers join, sessions close.
+Each of the ``workers`` slots supervises one long-lived worker
+*process* (:class:`repro.backend.worker.Worker`, forked when the pool
+is built: after the imports, before the daemon listens). The child
+owns the reused :class:`~repro.api.Session` (built from the service's
+:class:`~repro.api.AnalysisConfig`, live telemetry on so ``watch``
+subscriptions see ``repro-live/1`` windows) and runs
+:func:`~repro.serve.jobs.execute_job`; the slot's thread only relays —
+the job's spec down, windows and the result document or error string
+up — so no job runs in the daemon, under its GIL or inside its address
+space. A child that exits, is killed or overruns the deadline fails
+*its job* and is respawned; the daemon and the other slots keep
+serving.
+
+Jobs wait in one bounded queue. A full queue rejects the submit
+immediately — :class:`QueueFull` carries the ``retry_after`` hint the
+protocol turns into a retryable ``queue-full`` error — rather than
+stalling the event loop. :meth:`WorkerPool.drain` implements the
+SIGTERM contract: no new work, queued jobs finish, children exit,
+threads join.
 """
 from __future__ import annotations
 
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from multiprocessing.connection import Connection
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api import AnalysisConfig, Session
+from repro.backend.worker import (
+    ADDRESS_SPACE_BYTES,
+    DEADLINE_S,
+    Worker,
+    WorkerDied,
+    WorkerTimeout,
+    own_usage,
+)
 from repro.serve.jobs import (
-    CANCELLED,
     DONE,
     FAILED,
     Job,
@@ -47,8 +66,43 @@ class PoolDraining(ReproError):
     """The pool is shutting down and accepts no new jobs."""
 
 
+def _job_worker(conn: Connection, config: AnalysisConfig) -> None:
+    """The child: one Session, one job at a time, until the pipe closes.
+
+    Down: ``(id, tenant, spec)``. Up: ``("window", doc)`` for every live
+    window, then ``(DONE, result doc, usage)`` or ``(FAILED, error
+    string, usage)`` with the child's cumulative CPU seconds and peak
+    RSS.
+    """
+    session = Session(
+        config, on_snapshot=lambda window: conn.send(("window", window))
+    )
+    while True:
+        job = Job(*conn.recv())
+        try:
+            answer: Tuple[str, Any] = (DONE, execute_job(session, job))
+        except Exception as exc:
+            answer = (FAILED, str(exc))
+        conn.send(answer + (own_usage(),))
+
+
+@dataclass
+class _Slot:
+    """One pool slot: its live child and what its children have cost."""
+
+    index: int
+    child: Worker
+    restarts: int = 0
+    #: CPU seconds of the children before this one (read off ``wait4``),
+    #: and what the live one last reported of itself.
+    retired_cpu: float = 0.0
+    cpu: float = 0.0
+    peak_rss_mb: float = 0.0
+
+
 class WorkerPool:
-    """N worker threads, one reusable Session each, one bounded queue."""
+    """N supervised worker processes, one reusable Session each, one
+    bounded queue."""
 
     def __init__(
         self,
@@ -57,6 +111,7 @@ class WorkerPool:
         queue_limit: int = 32,
         config: Optional[AnalysisConfig] = None,
         on_complete: Optional[Callable[[Job], None]] = None,
+        deadline: float = DEADLINE_S,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -64,6 +119,7 @@ class WorkerPool:
             raise ValueError("queue limit must be positive")
         self.workers = workers
         self.queue_limit = queue_limit
+        self.deadline = deadline
         base = config or AnalysisConfig()
         # Live telemetry on every worker session: watch subscriptions
         # receive windows without per-job reconfiguration.
@@ -76,16 +132,31 @@ class WorkerPool:
         self._pending = 0
         self._running = 0
         self._draining = False
+        self._slots = [_Slot(i, self._spawn(i)) for i in range(workers)]
+        #: Running job id -> its child; written under the job's lock.
+        self._child_of: Dict[str, Worker] = {}
         self._threads = [
             threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-serve-worker-{i}",
+                target=self._slot_loop,
+                args=(slot,),
+                name=f"repro-serve-worker-{slot.index}",
                 daemon=True,
             )
-            for i in range(workers)
+            for slot in self._slots
         ]
         for thread in self._threads:
             thread.start()
+
+    def _spawn(self, index: int) -> Worker:
+        # Its own process group: killing it takes its shard workers and
+        # whatever an upload forked along.
+        return Worker(
+            _job_worker,
+            self.config,
+            name=f"serve worker {index}",
+            address_space=ADDRESS_SPACE_BYTES,
+            own_group=True,
+        )
 
     # -- submission (event-loop side) -----------------------------------
 
@@ -107,68 +178,119 @@ class WorkerPool:
         with self._lock:
             return self._running
 
-    # -- worker side -----------------------------------------------------
+    def abort(self, job: Job, state: str, error: Optional[str]) -> bool:
+        """End a *running* job as ``state`` by killing its child — the
+        one kill routine under ``cancel`` and the deadline. False when
+        the job is not running (any more). The job's lock settles this
+        against the slot's own running -> done/failed step; the slot
+        then respawns the child and completes the job."""
+        with job.lock:
+            if job.state != RUNNING:
+                return False
+            job.state, job.error = state, error
+            self._child_of[job.id].kill()
+        return True
 
-    def _worker_loop(self) -> None:
-        current: Dict[str, Optional[Job]] = {"job": None}
+    def worker_stats(self) -> List[Dict[str, Any]]:
+        """Per slot: live child pid, restarts, CPU seconds (every child
+        the slot has had) and peak RSS, as of the last finished job."""
+        with self._lock:
+            return [
+                {
+                    "pid": slot.child.pid,
+                    "restarts": slot.restarts,
+                    "cpu_seconds": slot.retired_cpu + slot.cpu,
+                    "peak_rss_mb": slot.peak_rss_mb,
+                }
+                for slot in self._slots
+            ]
 
-        def dispatch_window(window: Dict[str, Any]) -> None:
-            job = current["job"]
+    # -- slot side -------------------------------------------------------
+
+    def _slot_loop(self, slot: _Slot) -> None:
+        while True:
+            job = self._queue.get()
             if job is None:
-                return
-            for watcher in list(job.watchers):
-                watcher(window)
+                break
+            with self._lock:
+                self._pending -= 1
+            if not slot.child.alive():  # died while idle
+                self._replace(slot)
+            with job.lock:
+                if job.state in TERMINAL_STATES:  # cancelled queued
+                    continue
+                job.state = RUNNING
+                job.started_at = time.time()
+                self._child_of[job.id] = slot.child
+            self._run_job(slot, job)
+        slot.child.stop()
 
-        session = Session(self.config, on_snapshot=dispatch_window)
-        try:
-            while True:
-                job = self._queue.get()
-                if job is None:
-                    return
-                with self._lock:
-                    self._pending -= 1
-                with job.lock:
-                    if job.state in TERMINAL_STATES:  # cancelled queued
-                        continue
-                    job.state = RUNNING
-                    job.started_at = time.time()
-                self._run_job(session, job, current)
-        finally:
-            session.close()
-
-    def _run_job(
-        self, session: Session, job: Job, current: Dict[str, Optional[Job]]
-    ) -> None:
-        current["job"] = job
+    def _run_job(self, slot: _Slot, job: Job) -> None:
+        child = slot.child
         with self._lock:
             self._running += 1
+        state, payload, usage = FAILED, None, (0.0, 0.0)
         try:
-            job.result = execute_job(session, job)
-            job.state = DONE
-        except Exception as exc:
-            job.error = str(exc)
-            job.state = FAILED
-        except SystemExit as exc:
-            # An uploaded program called sys.exit(): that ends the job,
-            # not the worker thread every later job needs.
-            job.error = f"program exited (exit code {exc.code!r})"
-            job.state = FAILED
-        finally:
-            current["job"] = None
-            with self._lock:
-                self._running -= 1
-            job.finished_at = time.time()
-            job.release_payload()
-            job.done.set()
-            if self._on_complete is not None:
-                self._on_complete(job)
+            state, payload, usage = self._relay(child, job)
+        except WorkerTimeout:
+            self.abort(
+                job, FAILED, f"job exceeded its {self.deadline:g} s deadline"
+            )
+        except WorkerDied as exc:
+            payload = str(exc)
+        with job.lock:
+            if job.state == RUNNING:  # else aborted: state and error set
+                job.state = state
+                if state == DONE:
+                    job.result = payload
+                else:
+                    job.error = payload
+            del self._child_of[job.id]
+        # No abort can kill the child from here on: the job is settled.
+        if child.exitcode is not None:
+            self._replace(slot)
+        with self._lock:
+            if child.exitcode is None:
+                slot.cpu = usage[0]
+                slot.peak_rss_mb = max(slot.peak_rss_mb, usage[1])
+            self._running -= 1
+        job.finished_at = time.time()
+        job.release_payload()
+        job.done.set()
+        if self._on_complete is not None:
+            self._on_complete(job)
+
+    def _replace(self, slot: _Slot) -> None:
+        """Bury the slot's dead child and fork the next one."""
+        slot.child.stop(grace=0)
+        cpu, rss = slot.child.usage
+        fresh = self._spawn(slot.index)
+        with self._lock:
+            slot.child = fresh
+            slot.restarts += 1
+            slot.retired_cpu += cpu
+            slot.cpu = 0.0
+            slot.peak_rss_mb = max(slot.peak_rss_mb, rss)
+
+    def _relay(self, child: Worker, job: Job) -> Tuple[str, Any, Any]:
+        """Send the job down; pass windows up to its watchers until the
+        final message arrives or the deadline does."""
+        child.send((job.id, job.tenant, job.spec))
+        deadline = time.monotonic() + self.deadline
+        while True:
+            message = child.recv(max(0.0, deadline - time.monotonic()))
+            if message[0] != "window":
+                return message
+            for watcher in list(job.watchers):
+                watcher(message[1])
 
     # -- lifecycle -------------------------------------------------------
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop accepting work, finish the queue, join the workers.
+        """Stop accepting work, finish the queue, stop the children,
+        join the slots.
 
-        Returns True when every worker exited within ``timeout``
+        Returns True when every slot finished within ``timeout``
         (None = wait forever). Idempotent: later calls just re-join.
         """
         with self._lock:

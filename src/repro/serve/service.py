@@ -2,17 +2,19 @@
 
 One event loop accepts connections (TCP and/or a Unix socket), parses
 ``repro-serve/1`` request envelopes, and routes them onto the
-:class:`~repro.serve.pool.WorkerPool`. The loop never runs an
-analysis itself — submits enqueue, result waits park on an executor
-thread, and ``watch`` subscriptions receive ``repro-live/1`` windows
-forwarded from the worker threads via ``call_soon_threadsafe`` — so
+:class:`~repro.serve.pool.WorkerPool`. Neither the loop nor any other
+thread of the daemon runs an analysis — jobs run in the pool's worker
+processes; submits enqueue, result waits park on an executor thread,
+and ``watch`` subscriptions receive ``repro-live/1`` windows the pool's
+slot threads relay from their child via ``call_soon_threadsafe`` — so
 admission control (per-tenant quotas, queue backpressure, drain
-rejection) stays responsive no matter how loaded the pool is.
+rejection) stays responsive no matter how loaded the pool is or what
+an uploaded program does.
 
 Shutdown contract: SIGTERM (or the ``shutdown`` op) stops admission
 with retryable ``draining`` errors, lets queued and running jobs
-finish, joins every worker, closes the listeners, and wakes
-:meth:`ReproService.run_until_stopped`.
+finish, stops every worker process and joins its slot, closes the
+listeners, and wakes :meth:`ReproService.run_until_stopped`.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import AnalysisConfig
+from repro.backend.worker import DEADLINE_S
 from repro.obs.service import ServiceTelemetry
 from repro.serve import protocol
 from repro.serve.jobs import (
@@ -59,6 +62,9 @@ class ServeSettings:
     quota: int = 4
     backend: str = "inline"
     shards: int = 2
+    #: Seconds a job may run before its worker is killed (no CLI flag:
+    #: a field only so that tests can shorten it).
+    job_deadline: float = DEADLINE_S
 
 
 class ReproService:
@@ -100,6 +106,7 @@ class ReproService:
             queue_limit=self.settings.queue_limit,
             config=self.config,
             on_complete=self._job_completed,
+            deadline=self.settings.job_deadline,
         )
         self.telemetry.set_workers(self.settings.workers)
         if self.settings.port is not None:
@@ -157,7 +164,7 @@ class ReproService:
         self.begin_shutdown()
         await self.run_until_stopped()
 
-    # -- pool callbacks (worker threads) ---------------------------------
+    # -- pool callbacks (slot threads) -----------------------------------
 
     def _job_completed(self, job: Job) -> None:
         latency = (job.finished_at or time.time()) - (
@@ -424,28 +431,31 @@ class ReproService:
                 ),
             )
             return
+        assert self.pool is not None
         with job.lock:
-            if job.state != QUEUED:
-                cancellable = False
-            else:
+            queued = job.state == QUEUED
+            if queued:
                 job.state = CANCELLED
-                cancellable = True
-        if not cancellable:
+        if queued:  # no slot will pick it up: complete it here
+            job.finished_at = time.time()
+            job.release_payload()
+            job.done.set()
+            self.quotas.release(job.tenant)
+            self.telemetry.job_finished(job.tenant, CANCELLED, 0.0)
+            self._finish_watches(job.id)
+        elif not self.pool.abort(job, CANCELLED, None):
             await self._send(
                 writer,
                 protocol.make_error(
                     rid,
                     "bad-request",
-                    f"job is {job.state}; only queued jobs cancel",
+                    f"job is {job.state}; only queued and running jobs "
+                    "cancel",
                 ),
             )
             return
-        job.finished_at = time.time()
-        job.release_payload()
-        job.done.set()
-        self.quotas.release(job.tenant)
-        self.telemetry.job_finished(job.tenant, CANCELLED, 0.0)
-        self._finish_watches(job.id)
+        # A running job's worker is dead by now; its slot completes the
+        # job (quota, telemetry, watchers) through ``_job_completed``.
         await self._send(
             writer, protocol.make_response(rid, job.status_doc())
         )
@@ -494,6 +504,7 @@ class ReproService:
     ) -> None:
         assert self.pool is not None
         self._refresh_gauges()
+        self.telemetry.set_worker_stats(self.pool.worker_stats())
         text = self.telemetry.openmetrics(
             extra_gauges={
                 "serve.quota.limit": self.settings.quota,

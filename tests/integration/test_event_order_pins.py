@@ -102,3 +102,33 @@ def test_straggler_repeats_the_parent_run(seed):
         detect_at=(1e-4, 2e-4),
     )
     assert log == DELIVERY_PINS["straggler", seed]
+
+
+#: The coordinator's simulated clock under ``ShardedBackend(shards=2)``.
+#: The coordinator reads its workers' pipes in shard-id order, so its
+#: latency draws — and this float — do not depend on which worker the
+#: scheduler ran first (before, four runs of one seed gave four values).
+SHARDED_SIM_SECONDS = {
+    ("stress", 0): 0.00014937402417232598,
+    ("stress", 1): 0.0001463459055151185,
+    ("stress", 2): 0.00015148953437770277,
+    ("straggler", 0): 4.25172963991598e-05,
+    ("straggler", 1): 4.028158796498096e-05,
+    ("straggler", 2): 4.5910420816838284e-05,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sharded_simulated_seconds_is_an_exact_count(seed):
+    traces = {
+        "stress": build_stress_trace(64, 20),
+        "straggler": run_programs(_straggler_programs(64), seed=seed).matched,
+    }
+    for name, matched in traces.items():
+        inline = Session(seed=seed).analyze(matched)
+        for _repeat in range(3):
+            session = Session(seed=seed, backend="sharded", shards=2)
+            outcome = session.analyze(matched)
+            assert outcome.simulated_seconds == SHARDED_SIM_SECONDS[name, seed]
+            assert outcome.messages_sent == inline.messages_sent
+            assert outcome.stable_state == inline.stable_state

@@ -5,10 +5,12 @@ takes >= 8 concurrent jobs through a 2-worker pool with a per-tenant
 quota of 4: every job completes with a verdict identical to an inline
 ``Session.run``, over-quota submissions come back as retryable
 errors, the metrics endpoint reports queue depth and per-tenant
-counters, and a drain leaves no orphan workers.
+counters, a running job can be cancelled, and a drain leaves no orphan
+workers — slot threads or worker processes.
 """
 import asyncio
 import json
+import os
 import threading
 import time
 
@@ -17,6 +19,7 @@ import pytest
 from repro.api import Session
 from repro.serve import ReproService, ServeClient, ServeError, ServeSettings
 from repro.workloads import fig2a_programs, fig2b_programs, stress_programs
+from tests.procs import processes
 
 #: Blocks at import time until the sentinel file appears — the lever
 #: the backpressure tests use to hold worker slots deterministically.
@@ -56,6 +59,20 @@ def start_service(**overrides):
     assert ready.wait(10), "service did not start"
     assert service.address is not None
     return service, thread
+
+
+def worker_pids(service):
+    return [stats["pid"] for stats in service.pool.worker_stats()]
+
+
+def orphans(pids):
+    """Slot threads still alive, and those of the worker processes
+    ``pids`` (listed before the drain) that still are processes."""
+    threads = [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("repro-serve-worker") and t.is_alive()
+    ]
+    return threads + sorted(set(pids) & set(processes()))
 
 
 @pytest.fixture()
@@ -208,6 +225,58 @@ def test_cancelled_and_rejected_jobs_release_their_payload(tmp_path):
     finally:
         thread.join(30)
     assert not thread.is_alive()
+
+
+def test_cancel_ends_a_running_job_and_its_slot_serves_on(tmp_path):
+    service, thread = start_service(workers=1, quota=10)
+    source = BLOCKING_SOURCE.format(sentinel=str(tmp_path / "never"))
+    with ServeClient(service.address) as client:
+        running = client.submit(tenant="t", source=source, ranks=1)
+        deadline = time.time() + 10
+        while client.stats()["running"] < 1:
+            assert time.time() < deadline, "worker never started"
+            time.sleep(0.02)
+        (before,) = worker_pids(service)
+        with ServeClient(service.address) as watcher:
+            seen = []
+            watching = threading.Thread(
+                target=lambda: seen.extend(watcher.watch(running))
+            )
+            watching.start()
+            while running not in service._watch_queues:
+                assert time.time() < deadline, "watch never registered"
+                time.sleep(0.02)
+            assert client.cancel(running)["state"] == "cancelled"
+            # The watch ends with the job, the wait with `not-done`.
+            watching.join(10)
+            assert seen[-1]["final"]["state"] == "cancelled"
+        with pytest.raises(ServeError) as excinfo:
+            client.result(running, wait=True, timeout=30)
+        assert excinfo.value.code == "not-done"
+        assert "cancelled" in str(excinfo.value)
+        doc = client.status(running)
+        assert doc["state"] == "cancelled" and "finished_at" in doc
+        assert service.jobs.get(running).spec.source is None
+        # Cancelling it again, or a finished job, is the caller's error.
+        with pytest.raises(ServeError) as excinfo:
+            client.cancel(running)
+        assert excinfo.value.code == "bad-request"
+        assert "only queued and running jobs cancel" in str(excinfo.value)
+        # The slot has a new worker, the tenant its quota slot back.
+        after = client.submit(tenant="t", workload="fig2a", ranks=2)
+        assert client.result(after, wait=True, timeout=60)["result"][
+            "deadlocked"
+        ] == [0, 1]
+        (stats,) = service.pool.worker_stats()
+        assert stats["restarts"] == 1 and stats["pid"] != before
+        tenant = client.stats()["tenants"]["t"]
+        assert tenant["in_flight"] == 0
+        assert "repro_serve_tenant_t_cancelled_total 1" in client.metrics()
+        pids = worker_pids(service) + [before]
+        client.shutdown()
+    thread.join(30)
+    assert not thread.is_alive(), "daemon did not drain"
+    assert not orphans(pids)
 
 
 def test_metrics_endpoint_reports_queue_and_tenants(daemon):
@@ -466,17 +535,17 @@ def test_a_program_that_exits_fails_its_job_not_the_worker():
             assert client.status(hostile)["state"] == "failed"
             done = client.result(after, wait=True, timeout=60)
             assert done["result"]["deadlocked"] == [0, 1]
+        pids = worker_pids(service)
         client.shutdown()
     thread.join(30)
     assert not thread.is_alive(), "daemon did not drain"
-    assert not [
-        t for t in threading.enumerate()
-        if t.name.startswith("repro-serve-worker") and t.is_alive()
-    ]
+    assert not orphans(pids)
 
 
 def test_drain_rejects_new_work_and_leaves_no_workers():
     service, thread = start_service()
+    pids = worker_pids(service)
+    assert len(pids) == 2 and all(os.getpgid(pid) == pid for pid in pids)
     with ServeClient(service.address) as client:
         job = client.submit(tenant="d", workload="fig2a", ranks=2)
         client.result(job, wait=True, timeout=60)
@@ -492,9 +561,4 @@ def test_drain_rejects_new_work_and_leaves_no_workers():
             pass  # listener may already be gone
     thread.join(30)
     assert not thread.is_alive()
-    orphans = [
-        t
-        for t in threading.enumerate()
-        if t.name.startswith("repro-serve-worker") and t.is_alive()
-    ]
-    assert not orphans
+    assert not orphans(pids)
