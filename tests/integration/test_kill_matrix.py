@@ -26,11 +26,14 @@ from repro.util.errors import ProtocolError
 from repro.workloads.named import NAMED_WORKLOADS
 
 from tests.integration.test_serve import BLOCKING_SOURCE, start_service
-from tests.procs import processes
+from tests.procs import kernel_grants, processes
 
 DEADLINE = 1.0
 
 _PROGRAM_TAIL = "\ndef worker(rank):\n    yield rank.finalize()\nLINT_RANKS = 1\n"
+
+#: One allocation past a serve worker's ``RLIMIT_AS``.
+_PAST_CAP = worker.ADDRESS_SPACE_BYTES + (1 << 30)
 
 #: case -> (what the upload does at import, what the error must say;
 #: None where the job must simply succeed).
@@ -38,9 +41,10 @@ HOSTILE = {
     "spin": ("while True:\n    pass\n", "exceeded its 1 s deadline"),
     "os-exit": ("import os\nos._exit(3)\n", "exited with code 3"),
     "raise": ("raise RuntimeError('boom')\n", "boom"),
-    # bytes(n) is a calloc: without the cap it is never touched, so the
-    # case is safe (and wrong) on a tree that has no cap.
-    "allocate": ("big = bytes(8 << 30)\n", "MemoryError"),
+    # A calloc sized past the serve cap and within what the kernel
+    # commits without one (asserted in the case): only the cap can
+    # refuse it, and untouched it is never resident on a tree with none.
+    "allocate": ("big = bytes(%d)\n" % _PAST_CAP, "MemoryError"),
     # A copy of a worker exits at once: the upload gets a dead child.
     "fork": (
         "import os, time\n"
@@ -148,6 +152,11 @@ def _wait_running(client):
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_a_hostile_upload_fails_its_job_only(one_slot, case):
     body, said = HOSTILE[case]
+    if case == "allocate":  # else a MemoryError would show no cap
+        assert kernel_grants(_PAST_CAP), (
+            "the kernel refuses %d bytes without a cap: the upload cannot "
+            "tell ADDRESS_SPACE_BYTES from the machine" % _PAST_CAP
+        )
     with ServeClient(one_slot.address) as client:
         job = client.submit(tenant="x", source=body + _PROGRAM_TAIL, ranks=1)
         if said is None:

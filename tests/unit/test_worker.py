@@ -15,7 +15,12 @@ from repro.backend.worker import (
     WorkerTimeout,
     own_usage,
 )
-from tests.procs import processes
+from tests.procs import kernel_grants, processes
+
+#: The test worker's ``RLIMIT_AS``, and one allocation past it that the
+#: kernel commits to a worker without one.
+_CAP = 2 << 30
+_PAST_CAP = _CAP + (1 << 30)
 
 
 def _echo(conn, prefix):
@@ -56,7 +61,9 @@ def _obey(conn):
             inner.stop()
         elif what == "allocate":
             try:
-                bytes(8 << 30)  # calloc: never touched, so never resident
+                # A calloc sized past the cap and within what the
+                # kernel commits: only the cap can refuse it.
+                bytes(_PAST_CAP)
             except MemoryError:
                 conn.send("MemoryError")
             else:
@@ -185,8 +192,13 @@ def test_killing_a_group_leader_takes_what_it_forked():
     assert _group_members(worker.pid) == []
 
 
+@pytest.mark.skipif(
+    not kernel_grants(_PAST_CAP),
+    reason="the kernel would not commit one uncapped allocation of "
+    "_PAST_CAP bytes (vm.overcommit_memory, /proc/meminfo)",
+)
 def test_the_address_space_cap_is_a_memory_error_in_the_child():
-    capped = Worker(_obey, name="capped", address_space=2 << 30)
+    capped = Worker(_obey, name="capped", address_space=_CAP)
     free = Worker(_obey, name="free")
     try:
         capped.send("allocate")
