@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
@@ -106,6 +107,7 @@ from repro.perf.placement import Placement
 from repro.tbon.network import LatencyModel, count_sent
 from repro.tbon.topology import TbonTopology
 from repro.util.errors import ProtocolError, ReproError
+from repro.util.gcpause import collector_paused
 
 #: Outbox size at which a worker flushes mid-round.
 DEFAULT_FLUSH_LIMIT = 64
@@ -312,63 +314,66 @@ def _shard_worker(conn: Connection, spec: _ShardSpec) -> None:
             prof=prof,
             run_id=spec.obs.run_id,
         )
-        # CPU time, not wall: concurrent shards time-slicing a core must
-        # not count each other's work as their own.
-        t0 = time.process_time()
-        _inject_app_events(spec, net)
-        busy = time.process_time() - t0
-        round_no = 0
-        while True:
-            cmd = conn.recv()
-            kind = cmd[0]
-            if kind == "run":
-                t0 = time.process_time()
-                if prof is None:
-                    for src, dst, wire, _size in cmd[1]:
-                        net.deliver(src, dst, decode_message(wire))
-                    net.pump()
-                    net.flush()
-                    busy += time.process_time() - t0
-                else:
-                    round_no += 1
-                    prof.begin_round(round_no)
-                    prof.begin_section("decode")
-                    inbound = [
-                        (src, dst, decode_message(wire),
-                         message_context(wire), size)
-                        for src, dst, wire, size in cmd[1]
-                    ]
-                    prof.end_section()
-                    prof.begin_section("recv")
-                    for src, dst, msg, ctx, size in inbound:
-                        net.deliver(src, dst, msg)
-                        prof.note_in(ctx, size)
-                    prof.end_section()
-                    prof.begin_section("step")
-                    net.pump()
-                    prof.end_section()
-                    prof.begin_section("flush")
-                    net.flush()
-                    prof.end_section()
-                    prof.end_round()
-                    busy += time.process_time() - t0
-                    if round_no % _OBS_FLUSH_EVERY == 0:
+        with collector_paused():
+            # CPU time, not wall: concurrent shards time-slicing a core
+            # must not count each other's work as their own.
+            t0 = time.process_time()
+            _inject_app_events(spec, net)
+            busy = time.process_time() - t0
+            round_no = 0
+            while True:
+                cmd = conn.recv()
+                kind = cmd[0]
+                if kind == "run":
+                    t0 = time.process_time()
+                    if prof is None:
+                        for src, dst, wire, _size in cmd[1]:
+                            net.deliver(src, dst, decode_message(wire))
+                        net.pump()
+                        net.flush()
+                        busy += time.process_time() - t0
+                    else:
+                        round_no += 1
+                        prof.begin_round(round_no)
+                        prof.begin_section("decode")
+                        inbound = [
+                            (src, dst, decode_message(wire),
+                             message_context(wire), size)
+                            for src, dst, wire, size in cmd[1]
+                        ]
+                        prof.end_section()
+                        prof.begin_section("recv")
+                        for src, dst, msg, ctx, size in inbound:
+                            net.deliver(src, dst, msg)
+                            prof.note_in(ctx, size)
+                        prof.end_section()
+                        prof.begin_section("step")
+                        net.pump()
+                        prof.end_section()
+                        prof.begin_section("flush")
+                        net.flush()
+                        prof.end_section()
+                        prof.end_round()
+                        busy += time.process_time() - t0
+                        if round_no % _OBS_FLUSH_EVERY == 0:
+                            _flush_obs(spec, observer, prof, conn)
+                    conn.send(("done", spec.shard_id))
+                elif kind == "flight":
+                    conn.send(
+                        ("flight", spec.shard_id, flight.snapshot(cmd[1]))
+                    )
+                elif kind == "finish":
+                    if prof is not None:
+                        # Drains the tracer: no event outlives this frame.
                         _flush_obs(spec, observer, prof, conn)
-                conn.send(("done", spec.shard_id))
-            elif kind == "flight":
-                conn.send(("flight", spec.shard_id, flight.snapshot(cmd[1])))
-            elif kind == "finish":
-                if prof is not None:
-                    # Drains the tracer: no event outlives this frame.
-                    _flush_obs(spec, observer, prof, conn)
-                conn.send(
-                    ("finish", spec.shard_id, _finish_payload(
-                        spec, local, net, observer, busy
-                    ))
-                )
-                return
-            else:
-                raise ProtocolError(f"unknown shard command {kind!r}")
+                    conn.send(
+                        ("finish", spec.shard_id, _finish_payload(
+                            spec, local, net, observer, busy
+                        ))
+                    )
+                    return
+                else:
+                    raise ProtocolError(f"unknown shard command {kind!r}")
     except (EOFError, OSError):
         raise  # the coordinator is gone: nobody to tell
     except Exception as exc:
@@ -445,16 +450,20 @@ class _FlightGather:
     their worker-local rings, the root merely embeds tails into
     reports. Snapshotting does synchronous per-shard round trips, which
     is safe because the root builds reports between rounds, when every
-    worker is idle-blocked on its pipe.
+    worker is idle-blocked on its pipe. The run holds the root, so the
+    handle holds the run weakly: a finished run is freed by reference
+    counting alone.
     """
 
     enabled = True
 
     def __init__(self, run: "_ShardedRun") -> None:
-        self._run = run
+        self._run = weakref.ref(run)
 
     def snapshot(self, ranks: Sequence[int]) -> Dict[int, List[dict]]:
-        return self._run.gather_flight(ranks)
+        run = self._run()
+        assert run is not None, "flight tails read after the run ended"
+        return run.gather_flight(ranks)
 
 
 class _ShardedRun(ToolTree):
@@ -510,8 +519,11 @@ class _ShardedRun(ToolTree):
         self.round_rows: Dict[int, List[list]] = {}
         self.coord_rounds: List[Dict[str, Any]] = []
         self._round_route_s = 0.0
+        # Weak for the same reason as _FlightGather: the proxies hang
+        # off this run's network.
+        run_id, me = self.run_id, weakref.ref(self)
         context = (
-            (lambda: (self.run_id, COORDINATOR_SHARD, self.rounds + 1, 0))
+            (lambda: (run_id, COORDINATOR_SHARD, me().rounds + 1, 0))
             if tracing
             else None
         )

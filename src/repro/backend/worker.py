@@ -14,7 +14,12 @@ group along when it was forked ``own_group=True``.
 
 The child ignores ``SIGINT`` (its supervisor cleans up), resets
 ``SIGTERM`` and the signal wake-up fd (an asyncio parent's handlers
-must not fire in a copy) and sets ``RLIMIT_AS`` when asked. A fork of a
+must not fire in a copy) and sets ``RLIMIT_AS`` when asked. On Linux
+it also dies with its supervisor: the kernel sends it ``SIGKILL`` when
+the thread that forked it exits (``PR_SET_PDEATHSIG``), so a
+``SIGKILL``\\ ed daemon does not leave a busy worker finishing its job
+— which is also why a worker must not outlive the thread that made
+it. A fork of a
 worker is not a worker: the workers it spawns itself drop its pipe, any
 other copy (an upload's ``os.fork()``) exits at once, before it can run
 the job twice or write a frame. The supervisor closing the pipe or
@@ -45,6 +50,10 @@ ADDRESS_SPACE_BYTES = 4 << 30
 #: True while this module forks: what tells a worker's own worker from
 #: a stray copy of it (``_after_fork``).
 _spawning = False
+
+#: The ``prctl(2)`` option that names the signal a child gets when its
+#: parent dies.
+_PR_SET_PDEATHSIG = 1
 
 
 class WorkerDied(ReproError):
@@ -107,6 +116,7 @@ class Worker:
         self._conn, child_end = Pipe()
         sys.stdout.flush()
         sys.stderr.flush()
+        parent = os.getpid()
         _spawning = True
         try:
             self.pid = os.fork()
@@ -114,7 +124,7 @@ class Worker:
             _spawning = False
         if self.pid == 0:
             self._conn.close()
-            _child(child_end, target, args, address_space, own_group)
+            _child(child_end, target, args, address_space, own_group, parent)
         child_end.close()
         if own_group:
             try:  # both sides set it, so neither has to wait for the other
@@ -186,16 +196,34 @@ def _after_fork(conn: Connection) -> None:
     conn.close()
 
 
+def _dies_with(parent: int) -> bool:
+    """Have the kernel ``SIGKILL`` this child when ``parent``'s forking
+    thread exits (Linux; elsewhere a no-op), and say whether ``parent``
+    is still there — it may have died before the call. ``ctypes`` is
+    imported here, so only the children pay for loading it."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    return os.getppid() == parent
+
+
 def _child(
     conn: Connection,
     target: Callable[..., None],
     args: Tuple[Any, ...],
     address_space: Optional[int],
     own_group: bool,
+    parent: int,
 ) -> None:
     """The forked side: never returns."""
     code = 1
     try:
+        if not _dies_with(parent):
+            return
         signal.set_wakeup_fd(-1)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)

@@ -40,6 +40,7 @@ from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.tbon.network import LatencyModel, Network, Node, jittered_latency
 from repro.tbon.topology import TbonTopology
 from repro.util.errors import ProtocolError
+from repro.util.gcpause import collector_paused
 
 #: What one first-layer node reports when the run is over: the stable
 #: timestamps of its hosted ranks, its peak trace window, and the
@@ -224,12 +225,14 @@ class ToolTree:
 
         ``settle`` runs the tool until no message remains anywhere:
         ``net.run`` when every node is on this network, the round loop
-        when the first layer is elsewhere.
+        when the first layer is elsewhere. The cyclic collector is
+        paused meanwhile (:mod:`repro.util.gcpause`).
         """
-        settle()
-        if detect_at_end:
-            self.root.start_detection(self.net)
+        with collector_paused():
             settle()
+            if detect_at_end:
+                self.root.start_detection(self.net)
+                settle()
         if not self.net.idle():
             raise ProtocolError("network did not quiesce")
         for record in self.root.completed_detections:

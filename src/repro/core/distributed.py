@@ -276,9 +276,10 @@ class FirstLayerNode:
         if kind.send:
             if state.got_recv_active:
                 self._send_ack(state.matched_recv, probe=False, net=net)
-            for probe_ref in state.pending_probe_acks:
-                self._send_ack(probe_ref, probe=True, net=net)
-            state.pending_probe_acks.clear()
+            if state.pending_probe_acks is not None:
+                for probe_ref in state.pending_probe_acks:
+                    self._send_ack(probe_ref, probe=True, net=net)
+                state.pending_probe_acks = None
 
     def _send_recv_active(self, state: OpState, net: Transport) -> None:
         assert state.matched_send is not None
@@ -428,6 +429,8 @@ class FirstLayerNode:
         if msg.probe:
             if state.activated:
                 self._send_ack(msg.recv_ref, probe=True, net=net)
+            elif state.pending_probe_acks is None:
+                state.pending_probe_acks = [msg.recv_ref]
             else:
                 state.pending_probe_acks.append(msg.recv_ref)
             return

@@ -21,9 +21,10 @@ Consistent-state / detection protocol (Section 5, Figure 8):
   :class:`AckConsistentState`, :class:`RequestWaits`,
   :class:`WaitInfoMsg`.
 
-Every message is a plain frozen dataclass with a ``wire_size`` used by
-the cost accounting — wait-state messages cannot be aggregated into
-streamed buffers (Section 4.2), so each pays full per-message cost.
+Every message is a plain frozen, slotted dataclass with a
+``wire_size`` used by the cost accounting — wait-state messages cannot
+be aggregated into streamed buffers (Section 4.2), so each pays full
+per-message cost.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from repro.mpi.constants import OpKind
 from repro.mpi.ops import Operation, OpRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewOpMsg:
     """One intercepted MPI call, in issue order per rank."""
 
@@ -43,7 +44,7 @@ class NewOpMsg:
     wire_size = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankDoneMsg:
     """The application rank finished (returned from its program)."""
 
@@ -52,7 +53,7 @@ class RankDoneMsg:
     wire_size = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PassSend:
     """Send info routed to the node hosting the matching receive.
 
@@ -75,7 +76,7 @@ class PassSend:
         return (self.send_rank, self.send_ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecvActive:
     """The receive matching send ``(send_rank, send_ts)`` is active.
 
@@ -102,7 +103,7 @@ class RecvActive:
         return (self.recv_rank, self.recv_ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecvActiveAck:
     """The send matching receive ``(recv_rank, recv_ts)`` is active."""
 
@@ -117,7 +118,7 @@ class RecvActiveAck:
         return (self.recv_rank, self.recv_ts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveReady:
     """Subtree readiness for one collective wave, aggregated upward."""
 
@@ -131,7 +132,7 @@ class CollectiveReady:
     wire_size = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveAck:
     """Root-confirmed wave completion, broadcast to the first layer."""
 
@@ -141,7 +142,7 @@ class CollectiveAck:
     wire_size = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestConsistentState:
     """Root -> first layer: freeze transitions, settle in-flight msgs."""
 
@@ -150,7 +151,7 @@ class RequestConsistentState:
     wire_size = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ping:
     """Double ping-pong synchronization (Figure 8)."""
 
@@ -161,7 +162,7 @@ class Ping:
     wire_size = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pong:
     detection_id: int
     remaining: int
@@ -169,7 +170,7 @@ class Pong:
     wire_size = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AckConsistentState:
     """First layer -> root (aggregated): node is consistent."""
 
@@ -180,7 +181,7 @@ class AckConsistentState:
     wire_size = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestWaits:
     """Root -> first layer: send wait-for conditions, then resume."""
 
@@ -189,7 +190,7 @@ class RequestWaits:
     wire_size = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class P2PWait:
     """A point-to-point style wait-for entry of one blocked process.
 
@@ -203,7 +204,7 @@ class P2PWait:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveWait:
     """A collective wait-for entry, resolved rank-wise at the root."""
 
@@ -211,7 +212,7 @@ class CollectiveWait:
     wave_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankWaitInfo:
     """Wait-for condition of one blocked rank (CNF over entries)."""
 
@@ -225,7 +226,7 @@ class RankWaitInfo:
     or_semantics: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitInfoMsg:
     """First layer -> root: blocked-rank conditions of one node."""
 

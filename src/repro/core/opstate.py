@@ -19,8 +19,7 @@ them. Window growth beyond a limit reproduces the paper's
 """
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mpi.blocking import BlockingSemantics, is_blocking
@@ -31,7 +30,7 @@ from repro.util.errors import ProtocolError, ResourceLimitError
 _STRICT = BlockingSemantics.strict()
 
 
-@dataclass
+@dataclass(slots=True)
 class OpState:
     """Tool-side state of one hosted operation (Figure 7's ``o``)."""
 
@@ -54,8 +53,9 @@ class OpState:
     #: Rule-4 per-target fact: this request-creating op is matched with
     #: an *activated* partner (or completes locally).
     completion_satisfied: bool = False
-    #: Probes that matched this send and await its activation.
-    pending_probe_acks: List[OpRef] = field(default_factory=list)
+    #: Probes that matched this send and await its activation (None
+    #: until the first one: most sends are never probed).
+    pending_probe_acks: Optional[List[OpRef]] = None
     #: Observability: simulated time of activation (-1 = untracked);
     #: the dwell-time histograms measure activation -> advance.
     activated_at: float = -1.0
@@ -96,7 +96,7 @@ class RankWindow:
         self.current = 0
         #: Whether the application rank finished its program.
         self.done = False
-        self._ops: "OrderedDict[int, OpState]" = OrderedDict()
+        self._ops: Dict[int, OpState] = {}
         #: Request id -> creating op state (retained until consumed).
         self._requests: Dict[int, OpState] = {}
         #: Largest timestamp received so far (-1 = none yet).

@@ -71,9 +71,10 @@ class InteriorNode:
         self.comms = comms
         self._agg = WaveAggregator()
         self._subtree_ranks = set(topology.ranks_under(node_id))
-        self._first_layer_below = sum(
-            1 for n in topology.first_layer
-            if node_id in topology.path_to_root(n)
+        # Every first-layer node hosts a rank: count their hosts, not
+        # every first-layer node's path (p^2 at construction).
+        self._first_layer_below = len(
+            {topology.host_of_rank(rank) for rank in self._subtree_ranks}
         )
         self._ack_counts: Dict[int, int] = {}
         self._participant_cache: Dict[int, int] = {}

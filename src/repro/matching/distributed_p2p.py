@@ -22,7 +22,7 @@ from repro.mpi.constants import ANY_TAG
 from repro.mpi.ops import Operation, OpRef
 
 
-@dataclass
+@dataclass(slots=True)
 class _PostedRecv:
     ref: OpRef
     comm_id: int
@@ -33,7 +33,7 @@ class _PostedRecv:
     is_probe: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchEvent:
     """A pairing produced by the matcher."""
 

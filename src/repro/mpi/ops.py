@@ -26,7 +26,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, OpKind
 OpRef = Tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Operation:
     """One MPI operation ``o_{i,j}`` of a process trace.
 

@@ -53,6 +53,7 @@ from repro.runtime.recording import (
 )
 from repro.runtime.scheduler import Scheduler
 from repro.util.errors import MpiUsageError, ProtocolError, ReproError
+from repro.util.gcpause import collector_paused
 
 if TYPE_CHECKING:
     from repro.obs.live import LiveMonitor
@@ -202,6 +203,10 @@ class Engine:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
+        with collector_paused():
+            return self._run()
+
+    def _run(self) -> RunResult:
         steps = 0
         obs = self.obs
         live = self.live

@@ -21,7 +21,7 @@ from repro.mpi.ops import Operation, OpRef
 from repro.util.errors import CollectiveMismatchError
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingSend:
     """A message in flight: posted by a send, not yet received."""
 
@@ -39,7 +39,7 @@ class PendingSend:
     recv_ref: Optional[OpRef] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRecv:
     """A posted receive that has not yet been paired with a message."""
 
@@ -53,7 +53,7 @@ class PendingRecv:
     send: Optional[PendingSend] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CollectiveWave:
     """The w-th collective call on one communicator, across its group.
 

@@ -52,20 +52,21 @@ def _callsite() -> str:
     Walks out of this module so that helper layers (the ``Rank``
     builders, the ``sendrecv`` decomposition) never show up as the
     source of an MPI call; findings then point at application code.
+    The walk starts at ``Call.__init__``'s caller: ``Call.__post_init__``
+    and the dataclass-generated ``__init__`` are always skipped, and
+    every frame walked is a frame object built on demand.
     """
-    frame: Optional[FrameType] = sys._getframe(1)
-    while frame is not None and (
-        frame.f_code.co_filename == __file__
-        # Skip synthesized frames (the dataclass-generated __init__).
-        or frame.f_code.co_filename.startswith("<")
-    ):
+    frame: Optional[FrameType] = sys._getframe(3)
+    while frame is not None:
+        filename = frame.f_code.co_filename
+        # Skip synthesized frames (code compiled from a string).
+        if filename != __file__ and not filename.startswith("<"):
+            return f"{_display_path(filename)}:{frame.f_lineno}"
         frame = frame.f_back
-    if frame is None:
-        return ""
-    return f"{_display_path(frame.f_code.co_filename)}:{frame.f_lineno}"
+    return ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Status:
     """Observed completion envelope of a receive/probe (MPI_Status)."""
 
@@ -74,7 +75,7 @@ class Status:
     nbytes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     """A single MPI call descriptor, submitted via ``yield``.
 

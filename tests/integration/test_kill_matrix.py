@@ -3,8 +3,8 @@ the sharded coordinator, case by case.
 
 Serve: uploaded programs that spin, ``os._exit``, fork, leave a
 subprocess behind, raise at import or allocate past the address-space
-cap, and a worker process
-``SIGKILL``\\ ed or ``SIGSTOP``\\ ped mid-job. Sharded: one shard worker
+cap, a worker process ``SIGKILL``\\ ed or ``SIGSTOP``\\ ped mid-job, and
+the daemon ``SIGKILL``\\ ed under a running job. Sharded: one shard worker
 ``SIGKILL``\\ ed or ``SIGSTOP``\\ ped mid-round, on its own and inside a
 serve job. Every case asserts a structured error within 5 s (the
 deadline is shortened to 1 s), that the next job on the same slot
@@ -15,7 +15,10 @@ test, not the suite.
 """
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +219,47 @@ def test_the_other_slot_keeps_serving(strays, tmp_path):
         client.shutdown()
     thread.join(30)
     assert not thread.is_alive(), "daemon did not drain"
+
+
+def test_a_killed_daemon_takes_its_busy_worker_along(strays, tmp_path):
+    """A daemon process ``SIGKILL``\\ ed under a job that never ends: its
+    worker does not go on with the job, it is gone within 2 s."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    busy = None
+    try:
+        listening = daemon.stdout.readline()
+        host, port = listening.split()[-1].rsplit(":", 1)
+        source = BLOCKING_SOURCE.format(sentinel=str(tmp_path / "never"))
+        with ServeClient((host, int(port))) as client:
+            client.submit(tenant="x", source=source, ranks=1)
+            _wait_running(client)
+        (busy,) = [
+            pid for pid, (ppid, _) in processes().items()
+            if ppid == daemon.pid
+        ]
+        strays.add(busy)  # it leads its process group
+        daemon.kill()
+        daemon.wait()
+        deadline = time.monotonic() + 2
+        while busy in processes():
+            assert time.monotonic() < deadline, "outlived its daemon"
+            time.sleep(0.01)
+    finally:
+        daemon.kill()
+        daemon.wait()
+        daemon.stdout.close()
+        if busy is not None:
+            try:
+                os.killpg(busy, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 # -- sharded ---------------------------------------------------------------

@@ -157,6 +157,25 @@ class TestOneAssembly:
             assert gone not in sharded
 
 
+class TestOnePause:
+    def test_only_the_pause_module_touches_the_collector(self):
+        """Under ``src/repro`` one module says ``gc.``: the collector is
+        paused and restored through ``util/gcpause.collector_paused``
+        and nowhere else."""
+        import re
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        touching = {
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if re.search(r"\bgc\.", path.read_text())
+        }
+        assert touching == {"util/gcpause.py"}
+
+
 class TestOneReader:
     def test_only_the_reader_imports_a_rank_program_file(self):
         """Under ``src/repro`` one module turns a ``.py`` path into
