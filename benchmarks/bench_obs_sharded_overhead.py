@@ -1,18 +1,19 @@
 """Cross-shard distributed-tracing overhead on the sharded backend.
 
-PR 7's distributed tracing threads a trace context through the wire
-codec, runs the BSP round profiler inside every worker, streams
-batched ``("obs", ...)`` frames over ``res_q``, and merges the shards'
-clocks at the coordinator. That machinery must hold the observability
-layer's <5% bound *on top of what an observed worker already costs*:
-per-message counters, wait-state spans, and delivery instants have
-been opt-in worker costs since PR 5 (and are priced the same on the
-inline backend), so the scored pairing holds them constant and
-isolates the new distributed layer:
+Distributed tracing starts every worker's tracer on the coordinator
+tracer's epoch, runs the BSP round profiler inside every worker (its
+row rides each round's ``("done", ...)`` reply), counts each round's
+traffic at the coordinator as it ships and routes it, and merges the
+events each worker ships in its finish payload. That machinery must
+hold the observability layer's <5% bound *on top of what an observed
+worker already costs*: per-message counters, wait-state spans, and
+delivery instants have been opt-in worker costs since PR 5 (and are
+priced the same on the inline backend), so the scored pairing holds
+them constant and isolates the new distributed layer:
 
 * **base** — observability on, ``distributed_tracing=False``: workers
   record locally exactly as in PR 5 (metrics merge at join, trace
-  events stay dark), no context on the wire, no profiler, no frames;
+  events stay dark), no profiler, no rows, no traffic counts;
 * **dist** — observability on, full distributed tracing.
 
 An **off** series (``NULL_OBSERVER``) is reported for context — it

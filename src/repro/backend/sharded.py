@@ -41,16 +41,15 @@ global virtual clock is replicated. Mid-run detections (``detect_at``)
 would need exactly that clock and are rejected.
 
 Cross-process messages travel through the wire codec of
-:mod:`repro.mpi.serialize`; observed runs attach a trace context
-(:class:`repro.obs.dist.TraceContext`) as the wire tuple's optional
-third element. Per-worker metrics and flight-recorder rings are
-shipped back at join; tracer events stream back once per BSP round as
-``("obs", shard_id, frame)`` replies together with the
-:mod:`repro.obs.prof` round records, and the coordinator's
-:class:`~repro.obs.dist.TraceMerger` rebases them onto its wall clock
-before folding them into the session trace. Observed runs also leave
-the ``repro-profile/1`` document on ``backend.last_profile`` for
-``repro profile``.
+:mod:`repro.mpi.serialize` as ``(tag, payload)`` tuples, observed or
+not. Per-worker metrics and flight-recorder rings are shipped back at
+join. Observed runs trace across shards from what the coordinator
+already knows: workers stamp on its tracer's epoch (one host, one
+monotonic clock), answer each round with their
+:mod:`repro.obs.prof` timing row, and ship their events once in the
+finish payload; the coordinator counts each round's traffic as it
+ships and routes it, and leaves the ``repro-profile/1`` document on
+``backend.last_profile`` for ``repro profile``.
 """
 from __future__ import annotations
 
@@ -77,19 +76,13 @@ from repro.core.detector import (
 )
 from repro.core.distributed import FirstLayerNode
 from repro.core.messages import NewOpMsg, RankDoneMsg
-from repro.mpi.serialize import (
-    decode_message,
-    encode_message,
-    message_context,
-)
+from repro.mpi.serialize import decode_message, encode_message
 from repro.mpi.trace import MatchedTrace
 from repro.obs.dist import (
-    COORDINATOR_SHARD,
     TraceMerger,
     WorkerObsSpec,
     events_to_wire,
     make_worker_observer,
-    next_run_id,
 )
 from repro.obs.events import PID_COORD
 from repro.obs.flight import NULL_FLIGHT_RECORDER, FlightRecorder
@@ -98,12 +91,12 @@ from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.prof import (
     ShardRoundProfiler,
     build_profile,
-    row_anchor,
     row_busy_seconds,
     rows_to_records,
     spans_from_records,
+    traffic_in,
+    traffic_out,
 )
-from repro.perf.placement import Placement
 from repro.tbon.network import LatencyModel, count_sent
 from repro.tbon.topology import TbonTopology
 from repro.util.errors import ProtocolError, ReproError
@@ -112,17 +105,7 @@ from repro.util.gcpause import collector_paused
 #: Outbox size at which a worker flushes mid-round.
 DEFAULT_FLUSH_LIMIT = 64
 
-#: BSP rounds a worker batches into one ``("obs", ...)`` stream frame.
-#: Each frame costs both sides a pipe transfer inside their timed
-#: busy windows; batching keeps the distributed tracer inside its <5%
-#: overhead bound while the final flush (before the finish payload)
-#: bounds the loss on crash to the last few rounds.
-_OBS_FLUSH_EVERY = 16
-
-#: A batched wire entry: (src, dst, wire tuple, size). The wire tuple
-#: is whatever :func:`encode_message` produced — ``(tag, payload)``
-#: bare or ``(tag, payload, context)`` when distributed tracing rides
-#: along.
+#: A batched wire entry: (src, dst, :func:`encode_message` tuple, size).
 _WireEntry = Tuple[int, int, tuple, int]
 
 
@@ -140,7 +123,6 @@ class _ShardSpec:
     matched: MatchedTrace
     topology: TbonTopology
     window_limit: int
-    flush_limit: int
     #: Observer settings the worker honors (session ``--obs`` plumbed
     #: through; the disabled spec keeps NULL_OBSERVER's zero cost).
     obs: WorkerObsSpec
@@ -167,14 +149,12 @@ class ShardNetwork:
         observer: Observer,
         flush_limit: int = DEFAULT_FLUSH_LIMIT,
         prof: Optional[ShardRoundProfiler] = None,
-        run_id: int = 0,
     ) -> None:
         self.obs = observer
         self._local = local_nodes
         self._emit = emit
         self._flush_limit = max(1, flush_limit)
         self._prof = prof
-        self._run_id = run_id
         self._queue: deque = deque()
         self._outbox: List[_WireEntry] = []
         self._now = 0.0
@@ -200,8 +180,8 @@ class ShardNetwork:
         prof = self._prof
         if prof is not None:
             t0 = time.perf_counter()
-            wire = encode_message(msg, prof.wire_context(self._run_id))
-            prof.note_out(time.perf_counter() - t0, size)
+            wire = encode_message(msg)
+            prof.note_out(time.perf_counter() - t0)
         else:
             wire = encode_message(msg)
         self._outbox.append((src, dst, wire, size))
@@ -249,49 +229,25 @@ def _inject_app_events(spec: _ShardSpec, net: ShardNetwork) -> None:
             net.send(rank, node_id, RankDoneMsg(rank), RankDoneMsg.wire_size)
 
 
-def _flush_obs(spec: _ShardSpec, observer, prof, conn: Connection) -> None:
-    """Stream the pending observability frame to the coordinator.
-
-    Everything on the frame is kept in its cheapest-to-pickle form
-    (packed event columns, flat profiler rows): the worker's send and
-    the coordinator's reply loop both sit inside the busy-time
-    accounting the <5% tracing bound is scored on.
-    """
-    rows = prof.take_rows()
-    conn.send(
-        ("obs", spec.shard_id, {
-            "events": events_to_wire(observer.tracer.drain()),
-            "rows": rows,
-            "rounds": [row_anchor(row) for row in rows],
-            "dropped": observer.tracer.dropped,
-        })
-    )
-
-
 def _shard_worker(conn: Connection, spec: _ShardSpec) -> None:
     """Worker entry point (a :class:`~repro.backend.worker.Worker`
     target): host ``spec.node_ids`` until the finish payload is sent or
     the coordinator closes the pipe.
 
     Commands: ``("run", batch)`` — deliver, pump to quiescence, flush,
-    reply ``("done", shard_id, stats)`` (partial flushes emit
-    ``("msgs", shard_id, batch)`` first, and observed runs an
-    ``("obs", shard_id, frame)`` stream frame every
-    ``_OBS_FLUSH_EVERY`` rounds plus a final one before the finish
-    payload — per-round frames would double the coordinator's reply
-    traffic, and that receive/unpickle cost lands in the busy-time
-    accounting the <5% tracing bound is scored on); ``("flight",
-    ranks)`` — reply the flight tails; ``("finish",)`` — reply the
-    final state payload and exit.
+    reply ``("done", shard_id, row)`` with the round's profiler row
+    (None unprofiled; partial flushes emit ``("msgs", shard_id,
+    batch)`` first); ``("flight", ranks)`` — reply the flight tails;
+    ``("finish",)`` — reply the final state payload and exit.
     """
     try:
         observer = make_worker_observer(spec.obs)
-        # run_id == 0 means the coordinator did not start a distributed
-        # trace (observability off, or distributed_tracing disabled):
-        # the worker still observes locally but stays dark on the wire.
+        # No epoch means the coordinator does not trace across shards
+        # (observability off, or distributed_tracing disabled): the
+        # worker still observes locally but ships no events or rows.
         prof = (
             ShardRoundProfiler(spec.shard_id, observer)
-            if observer.enabled and spec.obs.run_id
+            if spec.obs.epoch is not None
             else None
         )
         flight = (
@@ -310,9 +266,7 @@ def _shard_worker(conn: Connection, spec: _ShardSpec) -> None:
             local,
             emit=lambda batch: conn.send(("msgs", spec.shard_id, batch)),
             observer=observer,
-            flush_limit=spec.flush_limit,
             prof=prof,
-            run_id=spec.obs.run_id,
         )
         with collector_paused():
             # CPU time, not wall: concurrent shards time-slicing a core
@@ -326,51 +280,41 @@ def _shard_worker(conn: Connection, spec: _ShardSpec) -> None:
                 kind = cmd[0]
                 if kind == "run":
                     t0 = time.process_time()
-                    if prof is None:
-                        for src, dst, wire, _size in cmd[1]:
-                            net.deliver(src, dst, decode_message(wire))
-                        net.pump()
-                        net.flush()
-                        busy += time.process_time() - t0
-                    else:
+                    batch = cmd[1]
+                    if prof is not None:
                         round_no += 1
                         prof.begin_round(round_no)
                         prof.begin_section("decode")
-                        inbound = [
-                            (src, dst, decode_message(wire),
-                             message_context(wire), size)
-                            for src, dst, wire, size in cmd[1]
-                        ]
-                        prof.end_section()
+                    msgs = [decode_message(entry[2]) for entry in batch]
+                    if prof is not None:
                         prof.begin_section("recv")
-                        for src, dst, msg, ctx, size in inbound:
-                            net.deliver(src, dst, msg)
-                            prof.note_in(ctx, size)
-                        prof.end_section()
+                    for entry, msg in zip(batch, msgs):
+                        net.deliver(entry[0], entry[1], msg)
+                    del msgs  # the pump frees each message it handles
+                    if prof is not None:
                         prof.begin_section("step")
-                        net.pump()
-                        prof.end_section()
+                    net.pump()
+                    if prof is not None:
                         prof.begin_section("flush")
-                        net.flush()
-                        prof.end_section()
-                        prof.end_round()
-                        busy += time.process_time() - t0
-                        if round_no % _OBS_FLUSH_EVERY == 0:
-                            _flush_obs(spec, observer, prof, conn)
-                    conn.send(("done", spec.shard_id))
+                    net.flush()
+                    row = prof.end_round() if prof is not None else None
+                    busy += time.process_time() - t0
+                    conn.send(("done", spec.shard_id, row))
                 elif kind == "flight":
                     conn.send(
                         ("flight", spec.shard_id, flight.snapshot(cmd[1]))
                     )
                 elif kind == "finish":
-                    if prof is not None:
-                        # Drains the tracer: no event outlives this frame.
-                        _flush_obs(spec, observer, prof, conn)
-                    conn.send(
-                        ("finish", spec.shard_id, _finish_payload(
-                            spec, local, net, observer, busy
-                        ))
+                    payload = _finish_payload(
+                        spec, local, net, observer, busy
                     )
+                    if prof is not None:
+                        # The run's events travel once, here.
+                        payload["events"] = events_to_wire(
+                            observer.tracer.events
+                        )
+                        payload["dropped"] = observer.tracer.dropped
+                    conn.send(("finish", spec.shard_id, payload))
                     return
                 else:
                     raise ProtocolError(f"unknown shard command {kind!r}")
@@ -425,22 +369,16 @@ class _ShardProxy:
     pending batch and shipped next round.
     """
 
-    __slots__ = ("node_id", "_pending", "_context")
+    __slots__ = ("node_id", "_pending")
 
-    def __init__(
-        self,
-        node_id: int,
-        pending: List[_WireEntry],
-        context=None,
-    ) -> None:
+    def __init__(self, node_id: int, pending: List[_WireEntry]) -> None:
         self.node_id = node_id
         self._pending = pending
-        self._context = context
 
     def handle(self, msg: Any, net, src: int) -> None:
-        ctx = self._context() if self._context is not None else None
-        wire = encode_message(msg, ctx)
-        self._pending.append((src, self.node_id, wire, msg.wire_size))
+        self._pending.append(
+            (src, self.node_id, encode_message(msg), msg.wire_size)
+        )
 
 
 class _FlightGather:
@@ -494,15 +432,13 @@ class _ShardedRun(ToolTree):
         self.backend = backend
         self.flight = flight
         self.live = live
-        #: Cumulative per-shard busy seconds folded from streamed
-        #: profiler rows (live skew attribution; empty when the
-        #: distributed tracer is off — skew then reports None).
+        #: Cumulative per-shard busy seconds folded from the profiler
+        #: rows (live skew attribution; empty when the distributed
+        #: tracer is off — skew then reports None).
         self._live_busy: Dict[int, float] = {}
         self.detect_at_end = detect_at_end
         self.window_limit = window_limit
-        self.plan = plan_shards(
-            self.topology, backend.shards, backend.placement
-        )
+        self.plan = plan_shards(self.topology, backend.shards)
         self.shard_of = shard_of_node(self.plan)
         self.num_shards = len(self.plan)
         #: Per-shard batches awaiting the next round. The lists are
@@ -510,25 +446,17 @@ class _ShardedRun(ToolTree):
         self.pending: List[List[_WireEntry]] = [
             [] for _ in range(self.num_shards)
         ]
-        # Distributed-tracing state: coordinator-origin messages carry
-        # a trace context (shard COORDINATOR_SHARD, the round they will
-        # ship in) and worker event frames fold through the merger.
-        tracing = self.observer.enabled and backend.distributed_tracing
-        self.run_id = next_run_id() if tracing else 0
-        self.merger = TraceMerger() if tracing else None
+        # Distributed-tracing state: the merger of the workers' events,
+        # the completed profiler rows per shard, the coordinator's own
+        # round accounting and this round's traffic per shard.
+        self.tracing = self.observer.enabled and backend.distributed_tracing
+        self.merger = TraceMerger() if self.tracing else None
         self.round_rows: Dict[int, List[list]] = {}
         self.coord_rounds: List[Dict[str, Any]] = []
         self._round_route_s = 0.0
-        # Weak for the same reason as _FlightGather: the proxies hang
-        # off this run's network.
-        run_id, me = self.run_id, weakref.ref(self)
-        context = (
-            (lambda: (run_id, COORDINATOR_SHARD, me().rounds + 1, 0))
-            if tracing
-            else None
-        )
+        self._traffic: Dict[int, list] = {}
         self.host_first_layer(
-            _ShardProxy(node_id, self.pending[self.shard_of[node_id]], context)
+            _ShardProxy(node_id, self.pending[self.shard_of[node_id]])
             for node_id in self.topology.first_layer
         )
         self.relayed = 0
@@ -546,8 +474,7 @@ class _ShardedRun(ToolTree):
                 matched=self.matched,
                 topology=self.topology,
                 window_limit=self.window_limit,
-                flush_limit=self.backend.flush_limit,
-                obs=WorkerObsSpec.from_observer(self.observer, self.run_id),
+                obs=WorkerObsSpec.from_observer(self.observer, self.tracing),
                 flight_capacity=(
                     self.flight.capacity if self.flight.enabled else 0
                 ),
@@ -560,9 +487,9 @@ class _ShardedRun(ToolTree):
         """One reply of ``kind`` from each of ``shards``, in that order.
 
         Each worker's pipe is read until its reply arrives; the message
-        batches and obs frames it sent first are routed and absorbed in
-        the order it sent them, so what the coordinator does follows
-        shard order, never scheduling. A worker's error reply is raised
+        batches it sent first are routed in the order it sent them, so
+        what the coordinator does follows shard order, never
+        scheduling. A worker's error reply is raised
         here — a tool error as itself, anything else as a
         ``ProtocolError`` carrying the worker's traceback; a dead or
         hung worker is a ``WorkerDied``/``WorkerTimeout``.
@@ -574,9 +501,7 @@ class _ShardedRun(ToolTree):
                     yield reply
                     break
                 if reply[0] == "msgs":
-                    self._route(reply[2])
-                elif reply[0] == "obs":
-                    self._absorb_obs(reply[1], reply[2])
+                    self._route(sid, reply[2])
                 elif reply[0] == "error":
                     _, _sid, error, worker_traceback = reply
                     failed = ProtocolError(
@@ -595,24 +520,27 @@ class _ShardedRun(ToolTree):
     def _exchange_round(self) -> None:
         """Ship pending batches, collect every shard's output, route it."""
         self.rounds += 1
-        merger = self.merger
-        if merger is not None:
+        tracing = self.tracing
+        if tracing:
             span_start = self.observer.tracer.now_us()
             self._round_route_s = 0.0
         for sid, worker in enumerate(self._workers):
             batch = list(self.pending[sid])
             self.pending[sid].clear()
-            if merger is not None:
-                # Clock anchor: the send stamp pairs with the worker's
-                # round-start stamp to estimate the per-shard offset.
-                # span_start serves for every shard: the puts are
-                # microseconds apart and the median over rounds eats
-                # the residual.
-                merger.note_round_sent(sid, self.rounds, span_start)
+            if tracing:
+                self._traffic[sid] = traffic_in(batch, self.shard_of)
             worker.send(("run", batch))
-        for _done in self._replies("done", range(self.num_shards)):
-            pass
-        if merger is not None:
+        for _kind, sid, row in self._replies("done", range(self.num_shards)):
+            if row is not None:
+                # The worker's timing row plus what the coordinator
+                # counted of the round's traffic.
+                row += self._traffic[sid]
+                self.round_rows.setdefault(sid, []).append(row)
+                if self.live is not None:
+                    self._live_busy[sid] = self._live_busy.get(
+                        sid, 0.0
+                    ) + row_busy_seconds(row)
+        if tracing:
             end = self.observer.tracer.now_us()
             self.observer.tracer.complete(
                 "round %d" % self.rounds,
@@ -659,43 +587,26 @@ class _ShardedRun(ToolTree):
             "skew": skew,
         }
 
-    def _absorb_obs(self, shard_id: int, frame: Dict[str, Any]) -> None:
-        """Fold one worker obs frame: merger (events, clock anchors,
-        drop counts) plus the raw profiler rows the profile doc needs
-        (materialized into records in ``_assemble``, off the timed
-        reply loop)."""
-        assert self.merger is not None
-        self.merger.add_frame(shard_id, frame)
-        rows = frame.get("rows") or ()
-        if rows:
-            self.round_rows.setdefault(shard_id, []).extend(rows)
-            if self.live is not None:
-                self._live_busy[shard_id] = self._live_busy.get(
-                    shard_id, 0.0
-                ) + sum(row_busy_seconds(row) for row in rows)
+    def _route(self, sid: int, batch: List[_WireEntry]) -> None:
+        """Route one batch of shard ``sid``, preserving its (send) order.
 
-    def _route(self, batch: List[_WireEntry]) -> None:
-        """Route one worker batch, preserving its (send) order.
-
-        First-layer destinations go to the owning shard's pending
-        batch; tree destinations are decoded and continue on the
-        coordinator network (``deliver``, not ``send``: the worker's
+        First-layer destinations go verbatim to the owning shard's
+        pending batch; tree destinations are decoded and continue on
+        the coordinator network (``deliver``, not ``send``: the worker's
         transport already counted them).
         """
-        obs_on = self.merger is not None
-        t0 = time.perf_counter() if obs_on else 0.0
+        tracing = self.tracing
+        t0 = time.perf_counter() if tracing else 0.0
         for entry in batch:
             src, dst, wire, size = entry
             if self.topology.is_first_layer(dst):
-                # Forwarded verbatim: the wire tuple keeps its original
-                # trace context, so the receiving shard attributes the
-                # message to the shard that produced it.
                 self.pending[self.shard_of[dst]].append(entry)
                 self.cross_shard += 1
             else:
                 self.net.deliver(src, dst, decode_message(wire), size)
                 self.relayed += 1
-        if obs_on:
+        if tracing:
+            traffic_out(self._traffic[sid], batch)
             self._round_route_s += time.perf_counter() - t0
 
     def _settle(self) -> None:
@@ -743,7 +654,6 @@ class _ShardedRun(ToolTree):
     def _collect_payloads(self) -> Dict[int, Dict[str, Any]]:
         for worker in self._workers:
             worker.send(("finish",))
-        # Each worker's final obs frame precedes its finish payload.
         return {
             sid: payload
             for _kind, sid, payload in self._replies(
@@ -766,6 +676,8 @@ class _ShardedRun(ToolTree):
             shard_busy.append(payload["busy_seconds"])
             if self.observer.enabled and payload["metrics"]:
                 self.observer.metrics.merge_state(payload["metrics"])
+            if self.merger is not None:
+                self.merger.add_frame(sid, payload)
         outcome = self.read_off(first_layer, (worker_msgs, worker_bytes))
         wall = time.perf_counter() - wall0
         # CPU time for the same reason as in the workers: on a machine
@@ -796,19 +708,16 @@ class _ShardedRun(ToolTree):
             for sid, busy in enumerate(shard_busy):
                 metrics.set_gauge(f"backend.shard{sid}.busy_seconds", busy)
         if self.merger is not None:
-            offsets = self.merger.merge_into(self.observer)
+            self.merger.merge_into(self.observer)
             round_records = {
                 sid: rows_to_records(sid, rows)
                 for sid, rows in sorted(self.round_rows.items())
             }
             # The workers never emit round/section spans (that would
             # put trace-event construction on the scored busy path);
-            # rebuild them here from the streamed records, clock-rebased
-            # like the workers' own events.
+            # rebuild them here from the records.
             for sid, records in round_records.items():
-                self.observer.tracer.absorb(
-                    spans_from_records(sid, records, offsets.get(sid, 0.0))
-                )
+                self.observer.tracer.absorb(spans_from_records(sid, records))
             profile = build_profile(
                 round_records=round_records,
                 coord_rounds=self.coord_rounds,
@@ -820,9 +729,6 @@ class _ShardedRun(ToolTree):
                 events=self.merger.event_counts(),
                 observer=self.observer,
             )
-            profile["clock_offsets_us"] = {
-                str(sid): offset for sid, offset in sorted(offsets.items())
-            }
             self.backend.last_profile = profile
         else:
             self.backend.last_profile = None
@@ -837,18 +743,15 @@ class _ShardedRun(ToolTree):
 class ShardedBackend(AnalysisBackend):
     """Partition the first layer across worker processes.
 
-    ``shards`` is clamped to the number of first-layer nodes;
-    ``flush_limit`` bounds how many outbound messages a worker coalesces
-    before flushing mid-round; ``placement`` aligns shard cuts with the
-    modeled cluster layout (defaults to :class:`Placement()`).
+    ``shards`` is clamped to the number of first-layer nodes.
     ``distributed_tracing`` (default on) controls the cross-shard trace
-    machinery of observed runs: context propagation on the wire, the
-    per-worker round profiler, per-round ``("obs", ...)`` frames, and
-    the coordinator-side merge. With it off, observed workers still
-    record locally (metrics merge at join, as before PR 7) but their
-    trace events stay dark — the knob exists so the overhead benchmark
-    can price the distributed machinery itself, and as an escape hatch
-    if a workload ever trips on it.
+    machinery of observed runs: the shared tracer epoch, the
+    per-worker round profiler and its per-round rows, the
+    coordinator's traffic counts, and the merge of the workers'
+    events. With it off, observed workers still record locally
+    (metrics merge at join) but their trace events stay dark — the
+    knob exists so the overhead benchmark can price the distributed
+    machinery itself.
     """
 
     name = "sharded"
@@ -857,15 +760,11 @@ class ShardedBackend(AnalysisBackend):
         self,
         shards: int = DEFAULT_SHARDS,
         *,
-        flush_limit: int = DEFAULT_FLUSH_LIMIT,
-        placement: Optional[Placement] = None,
         distributed_tracing: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard")
         self.shards = shards
-        self.flush_limit = flush_limit
-        self.placement = placement
         self.distributed_tracing = distributed_tracing
         #: Timing of the most recent run (set by :meth:`run`); the
         #: shard-scaling benchmark reads this.

@@ -115,10 +115,6 @@ class Operation:
         kind = self.kind
         return (kind.recv or kind.probe) and self.peer == ANY_SOURCE
 
-    def uses_any_tag(self) -> bool:
-        kind = self.kind
-        return (kind.recv or kind.probe) and self.tag == ANY_TAG
-
     def effective_source(self) -> Optional[int]:
         """Source rank after resolving wildcards with runtime knowledge.
 

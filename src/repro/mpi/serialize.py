@@ -332,18 +332,9 @@ def _build_codec() -> None:
     _TAG_OF[m.WaitInfoMsg] = "WaitInfoMsg"
 
 
-def encode_message(msg: Any, context: Any = None) -> WireTuple:
-    """Encode a protocol message as a primitive wire tuple.
-
-    Without ``context`` the result is the exact two-element
-    ``(tag, payload)`` tuple the sharded backend has always shipped —
-    bit-identical to the context-free wire format, so enabling
-    observability later cannot perturb equivalence baselines. With
-    ``context`` (any primitive tuple; in practice a
-    :class:`repro.obs.dist.TraceContext` wire form) the result is
-    ``(tag, payload, context)`` — :func:`decode_message` ignores the
-    third element and :func:`message_context` retrieves it.
-    """
+def encode_message(msg: Any) -> WireTuple:
+    """Encode a protocol message as the primitive ``(tag, payload)``
+    wire tuple the sharded backend ships."""
     if not _TAG_OF:
         _build_codec()
     try:
@@ -352,15 +343,11 @@ def encode_message(msg: Any, context: Any = None) -> WireTuple:
         raise TraceError(
             f"no wire codec for message type {type(msg).__name__}"
         ) from None
-    payload = _CODEC[tag][0](msg)
-    if context is None:
-        return (tag, payload)
-    return (tag, payload, tuple(context))
+    return (tag, _CODEC[tag][0](msg))
 
 
 def decode_message(data: WireTuple) -> Any:
-    """Reverse of :func:`encode_message` (trace context, if any, is
-    ignored here — see :func:`message_context`)."""
+    """Reverse of :func:`encode_message`."""
     if not _CODEC:
         _build_codec()
     tag = data[0]
@@ -369,8 +356,3 @@ def decode_message(data: WireTuple) -> Any:
     except KeyError:
         raise TraceError(f"no wire codec for message tag {tag!r}") from None
     return decoder(data[1])
-
-
-def message_context(data: WireTuple) -> Any:
-    """The trace context riding on a wire tuple, or None."""
-    return data[2] if len(data) > 2 else None

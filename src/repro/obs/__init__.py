@@ -22,10 +22,10 @@ of the reproduction:
 * :mod:`repro.obs.stats` — the ``repro stats`` summary tables
   (per-message-type traffic and the Figure 10(b)/11(b) five-phase
   detection-time breakdown, from an actual run rather than a model);
-* :mod:`repro.obs.dist` — cross-shard distributed tracing: the trace
-  context propagated through the wire codec, the worker-side observer
-  spec, and the coordinator-side :class:`TraceMerger` that reconciles
-  per-shard clocks into one trace;
+* :mod:`repro.obs.dist` — cross-shard distributed tracing: the
+  worker-side observer spec (which shares the coordinator tracer's
+  epoch) and the coordinator-side :class:`TraceMerger` that folds the
+  workers' events into one trace;
 * :mod:`repro.obs.prof` — the deterministic BSP round profiler behind
   ``repro profile`` (per-round/per-shard sections, critical-shard
   attribution, codec accounting, the ``repro-profile/1`` document);
@@ -51,12 +51,9 @@ if TYPE_CHECKING:
         blame_chain,
     )
     from repro.obs.dist import (
-        COORDINATOR_SHARD,
-        TraceContext,
         TraceMerger,
         WorkerObsSpec,
         make_worker_observer,
-        next_run_id,
     )
     from repro.obs.events import (
         CLOCK_OF,
@@ -133,12 +130,9 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "BlockedInterval": "repro.obs.causal",
     "analyze_events": "repro.obs.causal",
     "blame_chain": "repro.obs.causal",
-    "COORDINATOR_SHARD": "repro.obs.dist",
-    "TraceContext": "repro.obs.dist",
     "TraceMerger": "repro.obs.dist",
     "WorkerObsSpec": "repro.obs.dist",
     "make_worker_observer": "repro.obs.dist",
-    "next_run_id": "repro.obs.dist",
     "CLOCK_OF": "repro.obs.events",
     "CLOCK_SIMULATED": "repro.obs.events",
     "CLOCK_WALL": "repro.obs.events",

@@ -1,70 +1,31 @@
 """Distributed tracing for the sharded backend.
 
-The sharded backend (PR 5) runs one coordinator plus N worker
-processes, each with its own ``time.perf_counter`` epoch — their raw
-timestamps are mutually incomparable. This module carries three pieces
-that turn N private event streams into one trace:
+The sharded backend runs one coordinator plus N worker processes,
+each forked on the coordinator's host. ``time.perf_counter`` reads the
+same monotonic clock in every process there, so a worker tracer that
+starts from the coordinator tracer's epoch stamps its events on the
+coordinator's axis: nothing needs estimating or rebasing at merge.
+This module carries the two pieces that turn N private event streams
+into one trace:
 
-* :class:`TraceContext` — the causal envelope (run id, originating
-  shard, BSP round, parent span id) that rides as an optional third
-  element on the wire tuples of :func:`repro.mpi.serialize.encode_message`.
-  Context-free messages keep the exact two-element PR 5 wire format,
-  so equivalence baselines stay bit-identical when tracing is off.
 * :class:`WorkerObsSpec` — the picklable observer configuration the
   coordinator embeds in each ``_ShardSpec`` so workers honor the
-  session's ``--obs`` settings (:data:`~repro.obs.observer.NULL_OBSERVER`
-  stays the zero-cost default).
-* :class:`TraceMerger` — clock reconciliation. Each BSP round the
-  coordinator stamps the command-send time on its own clock and every
-  worker stamps its round start on its own clock; the per-shard offset
-  is the **median** over rounds of (coordinator send − worker start),
-  which is robust to scheduling-jitter outliers the way a mean is not.
-  Merged worker events are rebased onto the coordinator's wall axis,
-  so the existing :class:`~repro.obs.timeline.UnifiedTimeline` and the
-  Chrome exporter consume them unchanged.
+  session's ``--obs`` settings and share its tracer's epoch
+  (:data:`~repro.obs.observer.NULL_OBSERVER` stays the zero-cost
+  default).
+* the packed event columns (:func:`events_to_wire`) a worker ships
+  once, in its finish payload, and the :class:`TraceMerger` that folds
+  them into the session trace.
 """
 from __future__ import annotations
 
-import itertools
-import statistics
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.events import TraceEvent
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.obs.tracer import DEFAULT_EVENT_LIMIT, Tracer
-
-#: The coordinator's shard id inside a :class:`TraceContext`.
-COORDINATOR_SHARD = -1
-
-_run_ids = itertools.count(1)
-
-
-def next_run_id() -> int:
-    """A process-unique run id for one sharded execution."""
-    return next(_run_ids)
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Causal envelope attached to cross-shard wire messages."""
-
-    run_id: int
-    shard_id: int
-    round: int
-    parent_span: int = 0
-
-    def to_wire(self) -> Tuple[int, int, int, int]:
-        """The primitive tuple shipped on the wire."""
-        return (self.run_id, self.shard_id, self.round, self.parent_span)
-
-    @classmethod
-    def from_wire(cls, data: Sequence[int]) -> "TraceContext":
-        return cls(
-            run_id=data[0], shard_id=data[1], round=data[2],
-            parent_span=data[3],
-        )
 
 
 @dataclass(frozen=True)
@@ -74,15 +35,17 @@ class WorkerObsSpec:
     Observers hold unpicklable state (bound metrics registries, lists
     of events); shipping this small frozen spec instead keeps
     ``_ShardSpec`` cheap to pickle and lets the worker build its own
-    local :class:`~repro.obs.observer.Observer`.
+    local :class:`~repro.obs.observer.Observer`. ``epoch`` is the
+    coordinator tracer's ``perf_counter`` epoch when the run traces
+    across shards, None when the worker observes only locally.
     """
 
     enabled: bool = False
     event_limit: int = DEFAULT_EVENT_LIMIT
-    run_id: int = 0
+    epoch: Optional[float] = None
 
     @classmethod
-    def from_observer(cls, observer: Observer, run_id: int) -> "WorkerObsSpec":
+    def from_observer(cls, observer: Observer, tracing: bool) -> "WorkerObsSpec":
         if not observer.enabled:
             return cls()
         return cls(
@@ -90,7 +53,7 @@ class WorkerObsSpec:
             event_limit=getattr(
                 observer.tracer, "limit", DEFAULT_EVENT_LIMIT
             ),
-            run_id=run_id,
+            epoch=observer.tracer.epoch if tracing else None,
         )
 
 
@@ -102,7 +65,10 @@ def make_worker_observer(spec: WorkerObsSpec) -> Observer:
     """
     if not spec.enabled:
         return NULL_OBSERVER
-    return Observer(tracer=Tracer(limit=spec.event_limit))
+    tracer = Tracer(limit=spec.event_limit)
+    if spec.epoch is not None:
+        tracer.epoch = spec.epoch
+    return Observer(tracer=tracer)
 
 
 #: ``args`` column flags — see :func:`events_to_wire`.
@@ -115,18 +81,17 @@ _DUR_NONE = float("nan")
 
 
 def events_to_wire(events: Sequence[TraceEvent]) -> tuple:
-    """Pack trace events into columnar arrays for ``res_q`` frames.
+    """Pack trace events into columnar arrays for a worker's finish
+    payload.
 
     A run at the claim scale (p=256, s=8) produces ~10k events; as
     dataclasses — or even bare row tuples — that is ~80k heap objects
-    through pickle, and both sides of that cost land inside the
-    busy-time windows ``modeled_latency_seconds`` is built from (the
-    worker's queue feeder thread pickles asynchronously, leaking CPU
-    into later rounds' ``process_time`` windows; the coordinator
-    unpickles inside its reply loop). Columns of primitive ``array``
-    values pickle as single byte blobs, so the timed cost collapses to
-    a few memcpys; :meth:`TraceMerger.merge_into` rebuilds
-    :class:`TraceEvent` objects after the timing accounting closes.
+    through pickle, and the coordinator's unpickling counts towards
+    the ``coordinator_busy`` term of ``modeled_latency_seconds``.
+    Columns of primitive ``array`` values pickle as single byte blobs,
+    so the cost collapses to a few memcpys;
+    :meth:`TraceMerger.merge_into` rebuilds :class:`TraceEvent`
+    objects.
 
     The wire value is a 12-tuple: a string table; ``H`` index columns
     for name/cat/ph; ``d`` columns for ts and dur (``NaN`` encodes a
@@ -231,76 +196,36 @@ def wire_to_events(wire: tuple, offset: float = 0.0) -> List[TraceEvent]:
 
 
 class TraceMerger:
-    """Folds per-shard event frames into the coordinator's trace.
+    """Folds each worker's packed events into the coordinator's trace.
 
-    The coordinator calls :meth:`note_round_sent` when it puts a round
-    command on a shard's queue (timestamp on the coordinator tracer's
-    clock) and :meth:`add_frame` for each ``("obs", sid, frame)`` reply
-    (worker round-start timestamps on the worker's clock). At
-    :meth:`merge_into` time the per-shard clock offset is the median
-    round delta; every worker event is rebased by it.
+    A worker's events arrive once, in its finish payload, already
+    stamped on the coordinator's clock; :meth:`merge_into` unpacks
+    and absorbs them and attributes drops and event counts per shard.
     """
 
     def __init__(self) -> None:
-        # shard -> round -> coordinator send timestamp (coordinator us)
-        self._sent: Dict[int, Dict[int, float]] = {}
-        # shard -> packed event frames (worker us; events_to_wire form,
-        # kept packed until merge_into so absorbing a frame stays cheap
-        # inside the coordinator's timed reply loop)
-        self._frames: Dict[int, List[tuple]] = {}
-        # shard -> [(round, worker round-start us)]
-        self._anchors: Dict[int, List[Tuple[int, float]]] = {}
+        # shard -> packed events (events_to_wire form, kept packed until
+        # merge_into so absorbing a payload stays cheap)
+        self._frames: Dict[int, tuple] = {}
         # shard -> dropped-event count reported by the worker tracer
         self.dropped: Dict[int, int] = {}
-        self.frames = 0
-
-    def note_round_sent(self, shard_id: int, round_no: int, ts_us: float) -> None:
-        self._sent.setdefault(shard_id, {})[round_no] = ts_us
 
     def add_frame(self, shard_id: int, frame: Mapping[str, Any]) -> None:
-        """Absorb one streamed observability frame from a worker."""
-        self.frames += 1
+        """Absorb one worker's ``events`` and ``dropped`` count."""
         events = frame.get("events")
         if events is not None and wire_len(events):
-            self._frames.setdefault(shard_id, []).append(events)
-        for round_no, start_us in frame.get("rounds") or ():
-            self._anchors.setdefault(shard_id, []).append(
-                (round_no, start_us)
-            )
+            self._frames[shard_id] = events
         dropped = int(frame.get("dropped") or 0)
         if dropped:
-            self.dropped[shard_id] = max(
-                self.dropped.get(shard_id, 0), dropped
-            )
-
-    def offset_us(self, shard_id: int) -> float:
-        """Worker→coordinator clock offset for one shard (0.0 if the
-        round anchors never arrived — events then keep raw stamps)."""
-        sent = self._sent.get(shard_id, {})
-        deltas = [
-            sent[round_no] - start_us
-            for round_no, start_us in self._anchors.get(shard_id, ())
-            if round_no in sent
-        ]
-        if not deltas:
-            return 0.0
-        return float(statistics.median(deltas))
+            self.dropped[shard_id] = dropped
 
     def event_counts(self) -> Dict[int, int]:
-        return {
-            sid: sum(wire_len(frame) for frame in frames)
-            for sid, frames in self._frames.items()
-        }
+        return {sid: wire_len(frame) for sid, frame in self._frames.items()}
 
-    def merge_into(self, observer: Observer) -> Dict[int, float]:
-        """Rebase and absorb all worker events; returns the per-shard
-        offsets used (microseconds, coordinator-minus-worker)."""
-        offsets: Dict[int, float] = {}
+    def merge_into(self, observer: Observer) -> None:
+        """Absorb all worker events and the per-shard counters."""
         for shard_id in sorted(self._frames):
-            offset = self.offset_us(shard_id)
-            offsets[shard_id] = offset
-            for frame in self._frames[shard_id]:
-                observer.tracer.absorb(wire_to_events(frame, offset))
+            observer.tracer.absorb(wire_to_events(self._frames[shard_id]))
         # The global obs.tracer.dropped counter already aggregates via
         # the worker metrics merge at join; here we add the per-shard
         # attribution the stats shard table reports.
@@ -310,4 +235,3 @@ class TraceMerger:
             ).inc(dropped)
         for shard_id, count in sorted(self.event_counts().items()):
             observer.metrics.inc(f"obs.shard{shard_id}.events", count)
-        return offsets

@@ -9,8 +9,7 @@ loop (every N rounds), and rate-limited by wall clock, it snapshots
 * engine progress — ops issued, resume ("canAdvance") flips, per-rank
   dwell since last progress and the op each parked rank blocks in;
 * the sharded backend's round/skew/queue-depth data, folded on the
-  coordinator from the profiler rows already streaming back over the
-  ``("obs", ...)`` reply channel;
+  coordinator from the profiler rows each shard's round reply carries;
 * TBON channel counters (sent/delivered totals, backlog, queue depth)
   and tracer drop counts;
 * the full :class:`~repro.obs.metrics.MetricsRegistry` snapshot
@@ -105,11 +104,6 @@ class LiveMonitor:
         self._closed = False
 
     # -- sink management --------------------------------------------------
-
-    def add_callback(
-        self, callback: Callable[[Dict[str, Any]], None]
-    ) -> None:
-        self._callbacks.append(callback)
 
     def _write_line(self, doc: Mapping[str, Any]) -> None:
         if self.feed_path is None:

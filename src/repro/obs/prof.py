@@ -3,12 +3,14 @@
 Each shard worker runs a :class:`ShardRoundProfiler` that times the
 five sections of a BSP round — ``recv`` (delivering decoded wire
 messages), ``decode``, ``step`` (pumping the local network), ``encode``
-(wire-encoding outbound messages), ``flush`` — plus codec byte/message
-accounting, and emits per-round spans on the worker's tracer (pid
-``PID_SHARD_BASE + shard_id``). The records stream back with the
-observability frames and :func:`build_profile` folds them, together
-with the coordinator's own round spans, into the versioned
-``repro-profile/1`` document that ``repro profile`` renders:
+(wire-encoding outbound messages), ``flush`` — and answers each round
+with the closed row. The coordinator completes the row with the
+round's traffic, which it counts itself as it ships the shard's batch
+(:func:`traffic_in`) and routes the shard's output
+(:func:`traffic_out`): every cross-process message passes through its
+hands, so nothing rides the wire for this. :func:`build_profile` folds
+the rows, together with the coordinator's own round spans, into the
+versioned ``repro-profile/1`` document that ``repro profile`` renders:
 
 * per-round **critical-shard attribution** — which shard's busy time
   bounded that round of ``modeled_latency_seconds`` (the max term in
@@ -21,7 +23,7 @@ with the coordinator's own round spans, into the versioned
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.docs import format_tag
 from repro.obs.events import TraceEvent, pid_of_shard
@@ -34,10 +36,11 @@ ROUND_SECTIONS = ("recv", "decode", "step", "encode", "flush")
 PROFILE_FORMAT = format_tag("profile")
 
 
-# Row layout of one in-flight round (see ShardRoundProfiler). A flat
-# list with integer indexes keeps the per-round hot path to list-index
-# arithmetic; take_records materializes the dict form off the timed
-# path.
+# Row layout of one round. A flat list with integer indexes keeps the
+# worker's per-round hot path to list-index arithmetic;
+# rows_to_records materializes the dict form on the coordinator. The
+# worker writes the timing slots, the coordinator appends the traffic
+# slots.
 _R_ROUND = 0
 _R_START = 1
 _R_RECV = 2
@@ -45,11 +48,11 @@ _R_DECODE = 3
 _R_STEP = 4
 _R_ENCODE = 5
 _R_FLUSH = 6
-_R_MSGS_IN = 7
-_R_BYTES_IN = 8
-_R_MSGS_OUT = 9
-_R_BYTES_OUT = 10
-_R_END = 11
+_R_END = 7
+_R_MSGS_IN = 8
+_R_BYTES_IN = 9
+_R_MSGS_OUT = 10
+_R_BYTES_OUT = 11
 _R_SOURCES = 12
 
 _SECTION_SLOT = {
@@ -60,44 +63,39 @@ _SECTION_SLOT = {
     "flush": _R_FLUSH,
 }
 
+#: The ``sources`` key of traffic the coordinator's own nodes sent.
+_FROM_COORDINATOR = -1
+
 
 class ShardRoundProfiler:
-    """Per-round section timing + codec accounting inside one worker.
+    """Per-round section timing inside one worker.
 
-    Only constructed when the worker observer is enabled; the disabled
+    Only constructed when the run traces across shards; the disabled
     path never touches this class, keeping the zero-cost default. The
     in-round methods run inside the busy-time windows the <5% tracing
     bound is scored on, so they do nothing but clock reads and list
     writes; the round/section *trace spans* are not emitted here at
     all — :func:`spans_from_records` rebuilds them on the coordinator
-    from the streamed records, after the timing accounting closes.
+    from the rows.
     """
 
     def __init__(self, shard_id: int, observer: Observer) -> None:
         self.shard_id = shard_id
         self.observer = observer
-        self.pid = pid_of_shard(shard_id)
-        self._rows: List[list] = []
         self._row: Optional[list] = None
-        self._round_no = 0
-        self._wire_ctx: Optional[Tuple[int, int, int, int]] = None
         self._slot = 0
         self._section_t0 = 0.0
 
-    # -- round lifecycle ------------------------------------------------
-
     def begin_round(self, round_no: int) -> None:
-        self._round_no = round_no
-        self._wire_ctx = None
         self._row = [
             round_no, self.observer.tracer.now_us(),
             0.0, 0.0, 0.0, 0.0, 0.0,   # section seconds
-            0, 0, 0, 0,                # msgs/bytes in/out
             0.0,                       # end_us
-            None,                      # sources (allocated on demand)
         ]
 
     def begin_section(self, name: str) -> None:
+        """Start timing ``name``, closing the open section if any."""
+        self.end_section()
         self._slot = _SECTION_SLOT[name]
         self._section_t0 = time.perf_counter()
 
@@ -108,74 +106,51 @@ class ShardRoundProfiler:
         row[self._slot] += time.perf_counter() - self._section_t0
         self._slot = 0
 
-    def note_in(self, context: Any, size: int) -> None:
-        """Account one inbound message (with its wire context, if any)."""
+    def note_out(self, encode_seconds: float) -> None:
+        """Account one outbound message's encode time."""
         row = self._row
-        if row is None:
-            return
-        row[_R_MSGS_IN] += 1
-        row[_R_BYTES_IN] += size
-        if context is not None:
-            # context = (run_id, shard_id, round, parent_span); the
-            # coordinator encodes shard_id -1 for first-layer traffic.
-            sources = row[_R_SOURCES]
-            if sources is None:
-                sources = row[_R_SOURCES] = {}
-            src = context[1]
-            sources[src] = sources.get(src, 0) + 1
+        if row is not None:
+            row[_R_ENCODE] += encode_seconds
 
-    def note_out(self, encode_seconds: float, size: int) -> None:
-        """Account one outbound message's encode time + wire size."""
+    def end_round(self) -> Optional[list]:
+        """Close the round and hand over its timing row."""
+        self.end_section()
         row = self._row
-        if row is None:
-            return
-        row[_R_MSGS_OUT] += 1
-        row[_R_BYTES_OUT] += size
-        row[_R_ENCODE] += encode_seconds
+        if row is not None:
+            row[_R_END] = self.observer.tracer.now_us()
+            self._row = None
+        return row
 
-    def wire_context(self, run_id: int) -> Tuple[int, int, int, int]:
-        """The context tuple outbound messages carry this round
-        (constant within a round, so it is built once and shared)."""
-        ctx = self._wire_ctx
-        if ctx is None:
-            ctx = self._wire_ctx = (
-                run_id, self.shard_id, self._round_no, 0
-            )
-        return ctx
 
-    def end_round(self) -> None:
-        """Close the round's row; everything else happens off-path."""
-        row = self._row
-        if row is None:
-            return
-        row[_R_END] = self.observer.tracer.now_us()
-        self._rows.append(row)
-        self._row = None
+def traffic_in(
+    batch: Sequence[Sequence[Any]], shard_of: Mapping[int, int]
+) -> list:
+    """The traffic slots of a shard's round row, as the coordinator
+    ships it ``batch`` (``(src, dst, wire, size)`` entries): messages,
+    bytes and per-source counts in (``shard_of[src]``, or the
+    coordinator for a source outside the first layer), nothing out
+    yet."""
+    sources: Dict[int, int] = {}
+    for entry in batch:
+        src = shard_of.get(entry[0], _FROM_COORDINATOR)
+        sources[src] = sources.get(src, 0) + 1
+    return [len(batch), sum(entry[3] for entry in batch), 0, 0, sources]
 
-    def take_rows(self) -> List[list]:
-        """Drain the raw per-round rows for the next streamed frame.
 
-        Frames ship the flat rows — a third the pickle objects of the
-        dict form, and the coordinator unpickles frames inside its
-        timed reply loop; :func:`rows_to_records` materializes the
-        dict records after the timing accounting closes.
-        """
-        rows, self._rows = self._rows, []
-        return rows
-
-    def take_records(self) -> List[Dict[str, Any]]:
-        """Drain the per-round records in their dict form."""
-        return rows_to_records(self.shard_id, self.take_rows())
+def traffic_out(traffic: list, batch: Sequence[Sequence[Any]]) -> None:
+    """Credit one routed output ``batch`` of the shard to ``traffic``."""
+    traffic[_R_MSGS_OUT - _R_MSGS_IN] += len(batch)
+    traffic[_R_BYTES_OUT - _R_MSGS_IN] += sum(entry[3] for entry in batch)
 
 
 def rows_to_records(
     shard_id: int, rows: Sequence[Sequence[Any]]
 ) -> List[Dict[str, Any]]:
-    """Materialize profiler rows into the record dicts the profile
+    """Materialize completed rows (timing slots plus
+    :func:`traffic_in` slots) into the record dicts the profile
     document builder consumes."""
     out = []
     for row in rows:
-        sources = row[_R_SOURCES] or {}
         out.append({
             "round": row[_R_ROUND],
             "shard": shard_id,
@@ -186,32 +161,24 @@ def rows_to_records(
             "step_s": row[_R_STEP],
             "encode_s": row[_R_ENCODE],
             "flush_s": row[_R_FLUSH],
-            "busy_s": (
-                row[_R_RECV] + row[_R_DECODE] + row[_R_STEP]
-                + row[_R_ENCODE] + row[_R_FLUSH]
-            ),
+            "busy_s": row_busy_seconds(row),
             "msgs_in": row[_R_MSGS_IN],
             "bytes_in": row[_R_BYTES_IN],
             "msgs_out": row[_R_MSGS_OUT],
             "bytes_out": row[_R_BYTES_OUT],
             "sources": {
-                ("c" if src < 0 else "s%d" % src): n
-                for src, n in sorted(sources.items())
+                ("c" if src == _FROM_COORDINATOR else "s%d" % src): n
+                for src, n in sorted(row[_R_SOURCES].items())
             },
         })
     return out
 
 
-def row_anchor(row: Sequence[Any]) -> Tuple[int, float]:
-    """The ``(round, start_us)`` clock anchor of one profiler row."""
-    return (row[_R_ROUND], row[_R_START])
-
-
 def row_busy_seconds(row: Sequence[Any]) -> float:
     """Total busy seconds of one profiler row (all timed sections).
 
-    The live monitor folds streamed rows into per-shard busy totals on
-    the coordinator without materializing the dict records."""
+    The live monitor folds rows into per-shard busy totals on the
+    coordinator without materializing the dict records."""
     return (
         row[_R_RECV] + row[_R_DECODE] + row[_R_STEP]
         + row[_R_ENCODE] + row[_R_FLUSH]
@@ -219,25 +186,23 @@ def row_busy_seconds(row: Sequence[Any]) -> float:
 
 
 def spans_from_records(
-    shard_id: int,
-    records: Sequence[Mapping[str, Any]],
-    offset_us: float = 0.0,
+    shard_id: int, records: Sequence[Mapping[str, Any]]
 ) -> List["TraceEvent"]:
-    """Rebuild the round + section trace spans from streamed records.
+    """Rebuild the round + section trace spans from the records.
 
     Emitting these spans inside the worker would put ~6 trace-event
     constructions per round on the scored busy path; the records
-    already carry every field, so the coordinator synthesizes the spans
-    after timing closes, rebased by the shard's clock ``offset_us``.
+    already carry every field, and their stamps are on the
+    coordinator's clock, so the coordinator synthesizes the spans.
     One enclosing span per round, with the sections nested inside it
     laid end to end in execution order (encode time is really
     interleaved with step/flush; presenting it as one consolidated
-    sub-span keeps the track readable and the totals exact).
+    sub-span keeps the track readable).
     """
     pid = pid_of_shard(shard_id)
     spans: List[TraceEvent] = []
     for rec in records:
-        start = rec["start_us"] + offset_us
+        start = rec["start_us"]
         spans.append(
             TraceEvent(
                 name="round %d" % rec["round"],

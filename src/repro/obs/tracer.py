@@ -37,9 +37,11 @@ class Tracer:
         self.limit = limit
         self.events: List[TraceEvent] = []
         self.dropped = 0
-        self._flushed = 0
         self._metrics = None
-        self._epoch = time.perf_counter()
+        #: ``perf_counter`` reading stamps count from. A shard worker's
+        #: tracer takes its coordinator's: forks on one host read one
+        #: monotonic clock, so both stamp on the same axis.
+        self.epoch = time.perf_counter()
 
     def bind_metrics(self, metrics) -> None:
         """Mirror drop counts into ``obs.tracer.dropped`` on ``metrics``."""
@@ -48,13 +50,13 @@ class Tracer:
     # -- clock ----------------------------------------------------------
 
     def now_us(self) -> float:
-        """Wall-clock microseconds since this tracer was created."""
-        return (time.perf_counter() - self._epoch) * 1e6
+        """Wall-clock microseconds since :attr:`epoch`."""
+        return (time.perf_counter() - self.epoch) * 1e6
 
     # -- recording ------------------------------------------------------
 
     def _push(self, event: TraceEvent) -> None:
-        if self._flushed + len(self.events) >= self.limit:
+        if len(self.events) >= self.limit:
             if self.dropped == 0:
                 # One final marker, past the cap, so readers of the
                 # artifact can tell truncation from a clean ending.
@@ -128,21 +130,6 @@ class Tracer:
                 args=dict(values),
             )
         )
-
-    def drain(self) -> List[TraceEvent]:
-        """Take and clear the buffered events, keeping limit accounting.
-
-        Shard workers stream their events back to the coordinator once
-        per BSP round; draining counts the handed-off events against
-        the limit (via an internal flushed total) so a worker cannot
-        exceed its event budget by flushing — the cap bounds the whole
-        run's stream, and the truncation marker still fires exactly
-        once.
-        """
-        out = self.events
-        self._flushed += len(out)
-        self.events = []
-        return out
 
     def absorb(self, events: List[TraceEvent]) -> None:
         """Merge events recorded by another tracer into this one.

@@ -96,12 +96,6 @@ class CostModel:
             total += lat
         return total * self.barrier_overlap
 
-    def reduction_time(self, num_ranks: int, nbytes: int = 8) -> float:
-        """Binomial-tree reduction/broadcast estimate."""
-        return self.barrier_time(num_ranks) + nbytes * self.per_byte * max(
-            1, math.ceil(math.log2(max(num_ranks, 2)))
-        )
-
 
 #: The default, Sierra-calibrated model used by the benches.
 SIERRA = CostModel()

@@ -31,7 +31,6 @@ from repro.mpi.ops import OpKind
 from repro.mpi.serialize import (
     decode_message,
     encode_message,
-    message_context,
 )
 from repro.runtime import run_programs
 from repro.util.errors import TraceError
@@ -166,26 +165,13 @@ def test_new_op_roundtrips_every_traced_operation():
 @pytest.mark.parametrize(
     "msg", SIMPLE_MESSAGES, ids=lambda m: type(m).__name__
 )
-def test_context_rides_the_wire_unchanged(msg):
-    """A trace context is carried exactly and does not perturb the
-    decoded message."""
-    ctx = (7, 3, 42, 0)
-    data = encode_message(msg, ctx)
-    assert len(data) == 3
-    assert message_context(data) == ctx
-    assert decode_message(data) == msg
-
-
-@pytest.mark.parametrize(
-    "msg", SIMPLE_MESSAGES, ids=lambda m: type(m).__name__
-)
 def test_context_free_wire_format_is_unchanged(msg):
-    """Without a context the wire tuple is the exact two-element PR 5
-    format — enabling tracing later cannot move equivalence baselines."""
+    """The wire tuple is the exact two-element ``(tag, payload)``
+    format, observed run or not — tracing cannot move equivalence
+    baselines."""
     data = encode_message(msg)
     assert len(data) == 2
-    assert data == encode_message(msg, None)
-    assert message_context(data) is None
+    assert decode_message(data) == msg
 
 
 def test_unknown_message_type_is_rejected():

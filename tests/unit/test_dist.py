@@ -1,50 +1,37 @@
-"""Distributed-tracing plumbing: contexts, packed frames, clock merge.
+"""Distributed-tracing plumbing: the worker spec, packed events, merge.
 
 The sharded backend's workers live in other processes, so everything
-here crosses a pickle boundary: the trace context on wire tuples, the
-worker observer spec, and the packed event frames. A field lost or
-reordered in any of them silently corrupts the merged trace, so each
-representation round-trips exactly.
+here crosses a pickle boundary: the worker observer spec and the
+packed event frames. A field lost or reordered in either silently
+corrupts the merged trace, so each representation round-trips exactly.
 """
 import pickle
 
 import pytest
 
 from repro.obs.dist import (
-    COORDINATOR_SHARD,
-    TraceContext,
     TraceMerger,
     WorkerObsSpec,
     events_to_wire,
     make_worker_observer,
-    next_run_id,
     wire_len,
     wire_to_events,
 )
 from repro.obs.events import TraceEvent
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.obs.tracer import DEFAULT_EVENT_LIMIT, Tracer
-
-
-def test_run_ids_are_unique_and_nonzero():
-    a, b = next_run_id(), next_run_id()
-    assert a != b
-    assert a > 0 and b > 0  # 0 is the "no distributed trace" sentinel
-
-
-def test_trace_context_wire_roundtrip():
-    ctx = TraceContext(run_id=9, shard_id=COORDINATOR_SHARD, round=17,
-                       parent_span=3)
-    assert TraceContext.from_wire(ctx.to_wire()) == ctx
-    assert ctx.to_wire() == (9, COORDINATOR_SHARD, 17, 3)
+from repro.obs.tracer import Tracer
 
 
 def test_worker_obs_spec_from_observer():
-    spec = WorkerObsSpec.from_observer(Observer(tracer=Tracer(limit=77)),
-                                       run_id=5)
-    assert spec == WorkerObsSpec(enabled=True, event_limit=77, run_id=5)
-    dark = WorkerObsSpec.from_observer(NULL_OBSERVER, run_id=5)
-    assert not dark.enabled and dark.run_id == 0
+    tracer = Tracer(limit=77)
+    spec = WorkerObsSpec.from_observer(Observer(tracer=tracer), tracing=True)
+    assert spec == WorkerObsSpec(
+        enabled=True, event_limit=77, epoch=tracer.epoch
+    )
+    local = WorkerObsSpec.from_observer(Observer(), tracing=False)
+    assert local.enabled and local.epoch is None
+    dark = WorkerObsSpec.from_observer(NULL_OBSERVER, tracing=True)
+    assert not dark.enabled and dark.epoch is None
     # specs ship inside _ShardSpec: must stay picklable
     assert pickle.loads(pickle.dumps(spec)) == spec
 
@@ -52,9 +39,11 @@ def test_worker_obs_spec_from_observer():
 def test_make_worker_observer_null_default_is_shared():
     assert make_worker_observer(WorkerObsSpec()) is NULL_OBSERVER
     obs = make_worker_observer(
-        WorkerObsSpec(enabled=True, event_limit=99, run_id=1)
+        WorkerObsSpec(enabled=True, event_limit=99, epoch=12.5)
     )
     assert obs.enabled and obs.tracer.limit == 99
+    # the worker stamps on the coordinator tracer's axis
+    assert obs.tracer.epoch == 12.5
 
 
 EVENTS = [
@@ -91,49 +80,14 @@ def test_packed_events_distinguish_int_and_float_args():
     assert type(evs[1].args["depth"]) is float
 
 
-def test_merger_offset_is_median_of_round_deltas():
-    merger = TraceMerger()
-    # coordinator stamps rounds 1..5 at t=100,200,...; the worker's
-    # clock runs 40us behind except one jittered outlier.
-    for rnd in range(1, 6):
-        merger.note_round_sent(0, rnd, rnd * 100.0)
-    anchors = [(rnd, rnd * 100.0 - 40.0) for rnd in range(1, 5)]
-    anchors.append((5, 500.0 - 900.0))  # scheduling-jitter outlier
-    merger.add_frame(0, {"events": events_to_wire(EVENTS),
-                         "rounds": anchors, "dropped": 0})
-    assert merger.offset_us(0) == pytest.approx(40.0)
-    # unknown shard: no anchors, events keep raw stamps
-    assert merger.offset_us(9) == 0.0
-
-
 def test_merger_rebases_events_into_observer():
     merger = TraceMerger()
-    merger.note_round_sent(2, 1, 1000.0)
-    merger.add_frame(2, {"events": events_to_wire(EVENTS),
-                         "rounds": [(1, 400.0)], "dropped": 3})
+    merger.add_frame(2, {"events": events_to_wire(EVENTS), "dropped": 3})
     assert merger.event_counts() == {2: len(EVENTS)}
     observer = Observer()
-    offsets = merger.merge_into(observer)
-    assert offsets == {2: pytest.approx(600.0)}
-    merged = observer.tracer.drain()
-    assert [e.ts for e in merged[: len(EVENTS)]] == [
-        pytest.approx(e.ts + 600.0) for e in EVENTS
-    ]
+    merger.merge_into(observer)
+    # worker stamps are already on the coordinator's axis: kept as is
+    assert observer.tracer.events[: len(EVENTS)] == EVENTS
     # per-shard drop attribution lands on the metrics registry
     state = observer.metrics.dump_state()
     assert ("obs.tracer.dropped.shard2", 3) in state["counters"].items()
-
-
-def test_tracer_drain_keeps_limit_accounting():
-    tracer = Tracer(limit=4)
-    assert Tracer().limit == DEFAULT_EVENT_LIMIT
-    for i in range(4):
-        tracer.instant("e%d" % i, cat="t", ts=float(i), pid=1, tid=0)
-    first = tracer.drain()
-    assert len(first) == 4 and tracer.dropped == 0
-    # the limit covers the whole stream, not each drain window: the
-    # next event is dropped (with the one-time truncation marker)
-    tracer.instant("late", cat="t", ts=9.0, pid=1, tid=0)
-    leftover = tracer.drain()
-    assert [e.name for e in leftover] == ["truncated"]
-    assert tracer.dropped == 1

@@ -1,7 +1,8 @@
 """The BSP round profiler: rows, records, spans, and the document.
 
-The profiler's in-worker half writes flat rows on the scored busy
-path; everything user-visible (record dicts, round/section spans, the
+The profiler's in-worker half writes flat timing rows on the scored
+busy path and the coordinator appends the round's traffic; everything
+user-visible (record dicts, round/section spans, the
 ``repro-profile/1`` document) is materialized coordinator-side. These
 tests pin the row→record→span→document chain so a slot shuffled in
 the flat layout cannot silently misattribute a section.
@@ -16,23 +17,26 @@ from repro.obs.prof import (
     ShardRoundProfiler,
     build_profile,
     render_profile,
-    row_anchor,
     rows_to_records,
     spans_from_records,
+    traffic_in,
+    traffic_out,
 )
 
 
 def _profiled_round(prof, round_no, *, msgs_in=0, msgs_out=0):
+    """One round's completed row: the worker's timing slots plus the
+    traffic the coordinator counted (first-layer traffic from its own
+    tree nodes, which sit outside every shard)."""
     prof.begin_round(round_no)
     for section in ROUND_SECTIONS:
         prof.begin_section(section)
         prof.end_section()
-    for i in range(msgs_in):
-        # first-layer traffic arrives from the coordinator (shard -1)
-        prof.note_in((1, -1, round_no, 0), 64)
     for _ in range(msgs_out):
-        prof.note_out(0.001, 32)
-    prof.end_round()
+        prof.note_out(0.001)
+    traffic = traffic_in([(99, 1, ("Ping", ()), 64)] * msgs_in, {})
+    traffic_out(traffic, [(1, 99, ("Pong", ()), 32)] * msgs_out)
+    return prof.end_round() + traffic
 
 
 def test_rows_capture_sections_codec_and_sources():
@@ -40,19 +44,21 @@ def test_rows_capture_sections_codec_and_sources():
     prof.begin_round(5)
     prof.begin_section("decode")
     prof.end_section()
-    prof.note_in((1, -1, 5, 0), 100)
-    prof.note_in((1, 0, 5, 0), 50)
-    prof.note_in(None, 10)  # context-free wire tuples still count
-    prof.note_out(0.25, 40)
-    prof.end_round()
-    rows = prof.take_rows()
-    assert len(rows) == 1 and prof.take_rows() == []  # drained
-    assert row_anchor(rows[0]) == (5, rows[0][1])
-    (rec,) = rows_to_records(2, rows)
+    prof.note_out(0.25)
+    row = prof.end_round()
+    assert prof.end_round() is None  # closed
+    # the coordinator's count: sources by producing shard, or "c"
+    shard_of = {10: 0, 11: 2}
+    traffic = traffic_in(
+        [(3, 11, None, 100), (10, 11, None, 50), (4, 11, None, 10)],
+        shard_of,
+    )
+    traffic_out(traffic, [(11, 10, None, 40)])
+    (rec,) = rows_to_records(2, [row + traffic])
     assert rec["round"] == 5 and rec["shard"] == 2
     assert rec["msgs_in"] == 3 and rec["bytes_in"] == 160
     assert rec["msgs_out"] == 1 and rec["bytes_out"] == 40
-    assert rec["sources"] == {"c": 1, "s0": 1}
+    assert rec["sources"] == {"c": 2, "s0": 1}
     assert rec["encode_s"] >= 0.25  # note_out folds encode time in
     assert rec["decode_s"] >= 0.0
     assert rec["busy_s"] == pytest.approx(
@@ -61,23 +67,12 @@ def test_rows_capture_sections_codec_and_sources():
     assert rec["end_us"] >= rec["start_us"]
 
 
-def test_take_records_is_rows_then_materialize():
+def test_round_row_then_materialize():
     prof = ShardRoundProfiler(0, Observer())
-    _profiled_round(prof, 1, msgs_in=2)
-    (rec,) = prof.take_records()
+    row = _profiled_round(prof, 1, msgs_in=2, msgs_out=1)
+    (rec,) = rows_to_records(0, [row])
     assert rec["round"] == 1 and rec["msgs_in"] == 2
-    assert prof.take_records() == []
-
-
-def test_wire_context_is_cached_per_round():
-    prof = ShardRoundProfiler(3, Observer())
-    prof.begin_round(7)
-    ctx = prof.wire_context(run_id=11)
-    assert ctx == (11, 3, 7, 0)
-    assert prof.wire_context(run_id=11) is ctx
-    prof.end_round()
-    prof.begin_round(8)
-    assert prof.wire_context(run_id=11) == (11, 3, 8, 0)
+    assert rec["msgs_out"] == 1 and rec["sources"] == {"c": 2}
 
 
 def test_spans_from_records_layout():
@@ -88,14 +83,14 @@ def test_spans_from_records_layout():
         "busy_s": 175e-6, "msgs_in": 6, "bytes_in": 0,
         "msgs_out": 2, "bytes_out": 0, "sources": {},
     }
-    spans = spans_from_records(1, [rec], offset_us=1000.0)
+    spans = spans_from_records(1, [rec])
     names = [s.name for s in spans]
     # zero-duration sections (decode, flush) are skipped
     assert names == ["round 4", "recv", "step", "encode"]
     rnd = spans[0]
     assert rnd.cat == "shard.round" and rnd.ph == "X"
     assert rnd.pid == pid_of_shard(1) and rnd.tid == 0
-    assert rnd.ts == pytest.approx(1100.0)
+    assert rnd.ts == pytest.approx(100.0)
     assert rnd.dur == pytest.approx(300.0)
     assert rnd.args == {"round": 4, "msgs_in": 6, "msgs_out": 2}
     # sections nest on tid 1, laid end to end from the round start
@@ -104,8 +99,8 @@ def test_spans_from_records_layout():
         s.cat == "shard.section" and s.tid == 1 for s in sections
     )
     assert [s.ts for s in sections] == [
-        pytest.approx(1100.0), pytest.approx(1150.0),
-        pytest.approx(1250.0),
+        pytest.approx(100.0), pytest.approx(150.0),
+        pytest.approx(250.0),
     ]
     assert [s.dur for s in sections] == [
         pytest.approx(50.0), pytest.approx(100.0), pytest.approx(25.0)
