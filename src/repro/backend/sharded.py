@@ -246,7 +246,7 @@ def _shard_worker(conn: Connection, spec: _ShardSpec) -> None:
         # (observability off, or distributed_tracing disabled): the
         # worker still observes locally but ships no events or rows.
         prof = (
-            ShardRoundProfiler(spec.shard_id, observer)
+            ShardRoundProfiler(observer)
             if spec.obs.epoch is not None
             else None
         )
@@ -566,9 +566,9 @@ class _ShardedRun(ToolTree):
         """Coordinator-side backend progress for one live window.
 
         Skew is the slowest shard's cumulative busy time over the mean
-        (from the streamed profiler rows); ``pending`` is the batch
-        depth already routed toward each shard for the next round —
-        the backpressure signal."""
+        (from the profiler rows the round replies carry); ``pending``
+        is the batch depth already routed toward each shard for the
+        next round — the backpressure signal."""
         busy = self._live_busy
         skew: Optional[float] = None
         if busy:

@@ -19,6 +19,7 @@ into one trace:
 """
 from __future__ import annotations
 
+import pickle
 from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
@@ -97,9 +98,12 @@ def events_to_wire(events: Sequence[TraceEvent]) -> tuple:
     for name/cat/ph; ``d`` columns for ts and dur (``NaN`` encodes a
     ``None`` duration — real durations are never NaN); ``i`` columns
     for pid/tid; and the args columns (key index, flag, value) with a
-    fallback list for the rare args that are not single-key numeric
-    dicts. Int-valued args survive the float column exactly up to
-    2**53, far beyond any round/rank/byte count we record.
+    fallback for the args that are not single-key numeric dicts. Those
+    are most of a worker's events (every wait-state span carries its
+    nested wait entries), so the fallback list travels pickled, as one
+    byte blob that only :func:`wire_to_events` unpickles. Int-valued
+    args survive the float column exactly up to 2**53, far beyond any
+    round/rank/byte count we record.
     """
     strings: Dict[str, int] = {}
 
@@ -153,7 +157,8 @@ def events_to_wire(events: Sequence[TraceEvent]) -> tuple:
         extra.append(args)
     return (
         list(strings), name_i, cat_i, ph_i, ts, dur, pid, tid,
-        akey, aflag, aval, extra,
+        akey, aflag, aval,
+        pickle.dumps(extra, protocol=pickle.HIGHEST_PROTOCOL),
     )
 
 
@@ -167,7 +172,7 @@ def wire_to_events(wire: tuple, offset: float = 0.0) -> List[TraceEvent]:
     every timestamp by ``offset`` (microseconds)."""
     (strings, name_i, cat_i, ph_i, ts, dur, pid, tid,
      akey, aflag, aval, extra) = wire
-    extras = iter(extra)
+    extras = iter(pickle.loads(extra))
     out: List[TraceEvent] = []
     for i in range(len(name_i)):
         flag = aflag[i]

@@ -79,8 +79,7 @@ class ShardRoundProfiler:
     from the rows.
     """
 
-    def __init__(self, shard_id: int, observer: Observer) -> None:
-        self.shard_id = shard_id
+    def __init__(self, observer: Observer) -> None:
         self.observer = observer
         self._row: Optional[list] = None
         self._slot = 0
@@ -293,10 +292,9 @@ def build_profile(
     fan_in: int,
     dropped: Mapping[int, int],
     events: Mapping[int, int],
-    decode_totals: Optional[Mapping[str, float]] = None,
     observer: Optional[Observer] = None,
 ) -> Dict[str, Any]:
-    """Fold streamed round records into a ``repro-profile/1`` document.
+    """Fold the round records into a ``repro-profile/1`` document.
 
     ``round_records`` maps shard id → its round records;
     ``coord_rounds`` is the coordinator's own per-round accounting
@@ -359,10 +357,6 @@ def build_profile(
         "bytes_out": sum(s["bytes_out"] for s in shards.values()),
         "messages": sum(s["msgs_in"] for s in shards.values()),
     }
-    if decode_totals:
-        codec["coordinator_decode_ms"] = (
-            decode_totals.get("decode_s", 0.0) * 1e3
-        )
 
     return {
         "format": PROFILE_FORMAT,

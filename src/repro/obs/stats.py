@@ -253,7 +253,7 @@ def render_timeline_table(timeline: UnifiedTimeline) -> List[str]:
 
 
 def render_shard_table(snapshot: Mapping[str, object]) -> List[str]:
-    """Per-shard rows of a sharded run (busy time, streamed events,
+    """Per-shard rows of a sharded run (busy time, shipped events,
     per-shard drop counts) plus the round-skew summary, if any."""
     gauges: Mapping[str, Mapping[str, float]] = snapshot.get(
         "gauges", {}

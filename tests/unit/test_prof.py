@@ -40,7 +40,7 @@ def _profiled_round(prof, round_no, *, msgs_in=0, msgs_out=0):
 
 
 def test_rows_capture_sections_codec_and_sources():
-    prof = ShardRoundProfiler(2, Observer())
+    prof = ShardRoundProfiler(Observer())
     prof.begin_round(5)
     prof.begin_section("decode")
     prof.end_section()
@@ -68,7 +68,7 @@ def test_rows_capture_sections_codec_and_sources():
 
 
 def test_round_row_then_materialize():
-    prof = ShardRoundProfiler(0, Observer())
+    prof = ShardRoundProfiler(Observer())
     row = _profiled_round(prof, 1, msgs_in=2, msgs_out=1)
     (rec,) = rows_to_records(0, [row])
     assert rec["round"] == 1 and rec["msgs_in"] == 2
