@@ -7,13 +7,13 @@ traffic at the coordinator as it ships and routes it, and merges the
 events each worker ships in its finish payload. That machinery must
 hold the observability layer's <5% bound *on top of what an observed
 worker already costs*: per-message counters, wait-state spans, and
-delivery instants have been opt-in worker costs since PR 5 (and are
-priced the same on the inline backend), so the scored pairing holds
-them constant and isolates the new distributed layer:
+delivery instants are opt-in worker costs (priced the same on the
+inline backend), so the scored pairing holds them constant and
+isolates the distributed layer:
 
 * **base** — observability on, ``distributed_tracing=False``: workers
-  record locally exactly as in PR 5 (metrics merge at join, trace
-  events stay dark), no profiler, no rows, no traffic counts;
+  record locally (metrics merge at join, trace events stay dark), no
+  profiler, no rows, no traffic counts;
 * **dist** — observability on, full distributed tracing.
 
 An **off** series (``NULL_OBSERVER``) is reported for context — it
